@@ -145,7 +145,7 @@ main()
         config.shm_bytes = 64 << 20;
         config.ring.progress_timeout_ns = 120000000000ULL;
         core::Nvx nvx(config);
-        rr::Recorder recorder(nvx.region(), &nvx.layout(), log_path);
+        rr::LogSink recorder(nvx.region(), &nvx.layout(), log_path);
         auto server = [endpoint]() -> int {
             apps::vstore::Options o;
             o.endpoint = endpoint;

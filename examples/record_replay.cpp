@@ -43,7 +43,7 @@ main()
     {
         std::printf("phase 1: recording a live run...\n");
         core::Nvx nvx;
-        rr::Recorder recorder(nvx.region(), &nvx.layout(), log_path);
+        rr::LogSink recorder(nvx.region(), &nvx.layout(), log_path);
         if (!nvx.start({app},
                        [&](core::Nvx &) {
                            recorder.attachTaps();

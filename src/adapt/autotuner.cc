@@ -4,7 +4,6 @@
 
 namespace varan::adapt {
 
-using core::Knob;
 using core::TuningBlock;
 
 AutoTuner::AutoTuner(const shmem::Region *region,
@@ -53,19 +52,6 @@ AutoTuner::loop()
     }
 }
 
-void
-AutoTuner::updateFastpathTable(const Sample &sample)
-{
-    TuningBlock &tuning = layout_->controlBlock(region_)->tuning;
-    for (std::uint32_t i = 0; i < core::kFastPathSlots; ++i) {
-        const std::uint32_t tag =
-            i < sample.hot_count
-                ? static_cast<std::uint32_t>(sample.hot_nrs[i]) + 1
-                : 0;
-        tuning.fastpath_nrs[i].store(tag, std::memory_order_relaxed);
-    }
-}
-
 std::vector<Decision>
 AutoTuner::tickOnce(std::uint64_t now_ns)
 {
@@ -74,23 +60,8 @@ AutoTuner::tickOnce(std::uint64_t now_ns)
     const Sample sample = sampler_.tick(now_ns);
     tuning.adapt_samples.fetch_add(1, std::memory_order_relaxed);
 
-    core::Tuning current;
-    current.ship_batch = static_cast<std::uint32_t>(
-        core::liveKnob(tuning, Knob::ShipBatch));
-    current.credit_window = static_cast<std::uint32_t>(
-        core::liveKnob(tuning, Knob::CreditWindow));
-    current.coalesce_run = static_cast<std::uint32_t>(
-        core::liveKnob(tuning, Knob::CoalesceRun));
-    current.coalesce_window_ns =
-        core::liveKnob(tuning, Knob::CoalesceWindowNs);
-    current.fastpath_top_k = static_cast<std::uint32_t>(
-        core::liveKnob(tuning, Knob::FastpathTopK));
-
+    const core::Tuning current = core::TuningHandle(&tuning).snapshot();
     std::vector<Decision> decisions = controller_.step(sample, current);
-
-    // The hot table must be in place before any FastpathTopK raise
-    // widens the leader's scan into it.
-    updateFastpathTable(sample);
 
     const std::uint32_t pinned =
         tuning.pinned_mask.load(std::memory_order_acquire);

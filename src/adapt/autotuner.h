@@ -11,11 +11,6 @@
  * are skipped, so an operator override always wins over the
  * controller.
  *
- * The fast-path table is maintained here too: hot syscall numbers are
- * written into TuningBlock::fastpath_nrs *before* the FastpathTopK
- * width that exposes them is raised, so the leader never scans
- * uninitialised slots.
- *
  * tickOnce() runs one synchronous round with a caller-supplied clock —
  * that is what the deterministic tests and the benches drive.
  */
@@ -66,8 +61,6 @@ class AutoTuner
 
   private:
     void loop();
-    /** Sync TuningBlock::fastpath_nrs with the sampled hot set. */
-    void updateFastpathTable(const Sample &sample);
 
     const shmem::Region *region_;
     const core::EngineLayout *layout_;

@@ -118,13 +118,6 @@ Controller::step(const Sample &sample, const core::Tuning &current)
         }
     }
 
-    // Fast-path width follows the eligible hot set the sampler found.
-    const std::uint64_t want_k = core::clampKnob(
-        core::Knob::FastpathTopK, sample.hot_count);
-    if (want_k != current.fastpath_top_k)
-        out.push_back({core::Knob::FastpathTopK, current.fastpath_top_k,
-                       want_k});
-
     return out;
 }
 

@@ -23,8 +23,6 @@
  *  - CoalesceWindowNs is derived: a run cap only fills if the
  *    staleness window gives it time, so the window tracks the run
  *    length at ~12.5 µs per event (run 16 = the historical 200 µs).
- *  - FastpathTopK follows the eligible hot-syscall set the sampler
- *    found (the table itself is written by the AutoTuner).
  */
 
 #ifndef VARAN_ADAPT_CONTROLLER_H
@@ -41,8 +39,6 @@ namespace varan::adapt {
 struct Sample {
     /** Events published into the tuple rings per second. */
     double events_per_sec = 0;
-    /** Share of leader dispatches that were fast-path eligible. */
-    double payload_free_frac = 0;
     /** Max ring occupancy across tuples and consumers, 0..1. */
     double occupancy = 0;
     /** Payload-pool spills to the global arena per second. */
@@ -52,10 +48,6 @@ struct Sample {
     double wire_events_per_sec = 0; ///< events drained to the wire
     /** Credit-stalled share of drain passes with backlog, 0..1. */
     double credit_stall_frac = 0;
-
-    /** Fast-path-eligible hot syscalls, hottest first. */
-    std::uint16_t hot_nrs[core::kFastPathSlots] = {};
-    std::uint32_t hot_count = 0;
 };
 
 /** One knob adjustment the controller wants applied. */

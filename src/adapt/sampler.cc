@@ -6,14 +6,6 @@
 
 namespace varan::adapt {
 
-namespace {
-
-/** A syscall must carry at least 1/64 of the tick's dispatch mix to
- *  count as "hot" — keeps the fast-path table from churning on noise. */
-constexpr std::uint64_t kHotShareDenominator = 64;
-
-} // namespace
-
 Sampler::Sampler(const shmem::Region *region,
                  const core::EngineLayout *layout, WireSource wire)
     : region_(region), layout_(layout), wire_(std::move(wire))
@@ -32,10 +24,6 @@ Sampler::tick(std::uint64_t now_ns)
     WireSample wire;
     if (wire_)
         wire = wire_();
-
-    std::uint64_t hist[core::kSyscallStatsSlots];
-    for (std::uint32_t i = 0; i < core::kSyscallStatsSlots; ++i)
-        hist[i] = cb->tuning.sys_hist[i].load(std::memory_order_relaxed);
 
     // Ring occupancy: the fullest active cursor across all tuples,
     // mirrored per tuple into the shared lag EWMAs (16.16 fixed point,
@@ -62,89 +50,37 @@ Sampler::tick(std::uint64_t now_ns)
     }
     sample.occupancy = std::min(occupancy, 1.0);
 
-    if (!primed_) {
-        // First tick: establish baselines, report zero rates.
-        primed_ = true;
-        prev_ns_ = now_ns;
-        prev_events_ = events;
-        prev_spills_ = spills;
-        prev_wire_ = wire;
-        std::copy(hist, hist + core::kSyscallStatsSlots, prev_hist_);
-        sample.wire_active = wire.active;
-        return sample;
-    }
-
-    const std::uint64_t dt_ns = now_ns > prev_ns_ ? now_ns - prev_ns_ : 1;
-    const double dt = static_cast<double>(dt_ns) / 1e9;
-
-    sample.events_per_sec =
-        static_cast<double>(events - prev_events_) / dt;
-    sample.spills_per_sec =
-        static_cast<double>(spills - prev_spills_) / dt;
-
     sample.wire_active = wire.active;
-    if (wire.active) {
-        sample.wire_events_per_sec =
-            static_cast<double>(wire.events - prev_wire_.events) / dt;
-        const std::uint64_t passes =
-            wire.drain_passes - prev_wire_.drain_passes;
-        const std::uint64_t stalls =
-            wire.credit_stalls - prev_wire_.credit_stalls;
-        if (passes + stalls > 0)
-            sample.credit_stall_frac =
-                static_cast<double>(stalls) /
-                static_cast<double>(passes + stalls);
-    }
+    // The first tick only establishes the baselines: zero rates.
+    if (primed_) {
+        const std::uint64_t dt_ns =
+            now_ns > prev_ns_ ? now_ns - prev_ns_ : 1;
+        const double dt = static_cast<double>(dt_ns) / 1e9;
 
-    // Syscall mix: the fast-path-eligible calls that carried at least
-    // 1/64 of this tick's dispatches, hottest first.
-    std::uint64_t total = 0;
-    std::uint64_t delta[core::kSyscallStatsSlots];
-    for (std::uint32_t i = 0; i < core::kSyscallStatsSlots; ++i) {
-        delta[i] = hist[i] - prev_hist_[i];
-        total += delta[i];
-    }
-    if (total > 0) {
-        struct Hot {
-            std::uint64_t count;
-            std::uint16_t nr;
-        };
-        Hot hot[core::kFastPathSlots];
-        std::uint32_t n = 0;
-        std::uint64_t eligible = 0;
-        for (std::uint32_t nr = 0; nr < core::kSyscallStatsSlots; ++nr) {
-            if (delta[nr] == 0)
-                continue;
-            if (!sys::fastpathEligible(static_cast<long>(nr)))
-                continue;
-            eligible += delta[nr];
-            if (delta[nr] * kHotShareDenominator < total)
-                continue;
-            const Hot entry = {delta[nr], static_cast<std::uint16_t>(nr)};
-            // Insertion sort into the fixed top-k table.
-            std::uint32_t pos = n < core::kFastPathSlots ? n : n - 1;
-            if (n < core::kFastPathSlots)
-                ++n;
-            else if (hot[pos].count >= entry.count)
-                continue;
-            while (pos > 0 && hot[pos - 1].count < entry.count) {
-                hot[pos] = hot[pos - 1];
-                --pos;
-            }
-            hot[pos] = entry;
+        sample.events_per_sec =
+            static_cast<double>(events - prev_events_) / dt;
+        sample.spills_per_sec =
+            static_cast<double>(spills - prev_spills_) / dt;
+
+        if (wire.active) {
+            sample.wire_events_per_sec =
+                static_cast<double>(wire.events - prev_wire_.events) / dt;
+            const std::uint64_t passes =
+                wire.drain_passes - prev_wire_.drain_passes;
+            const std::uint64_t stalls =
+                wire.credit_stalls - prev_wire_.credit_stalls;
+            if (passes + stalls > 0)
+                sample.credit_stall_frac =
+                    static_cast<double>(stalls) /
+                    static_cast<double>(passes + stalls);
         }
-        sample.payload_free_frac =
-            static_cast<double>(eligible) / static_cast<double>(total);
-        sample.hot_count = n;
-        for (std::uint32_t i = 0; i < n; ++i)
-            sample.hot_nrs[i] = hot[i].nr;
     }
 
+    primed_ = true;
     prev_ns_ = now_ns;
     prev_events_ = events;
     prev_spills_ = spills;
     prev_wire_ = wire;
-    std::copy(hist, hist + core::kSyscallStatsSlots, prev_hist_);
     return sample;
 }
 

@@ -1,10 +1,9 @@
 /**
  * @file
  * The sampling half of src/adapt/: turns the raw shared-memory
- * counters (ControlBlock stream totals, the per-syscall histogram the
- * leader maintains in TuningBlock, ring cursors, pool spill counts)
- * plus an optional wire-shipper stats source into one rate-based
- * Sample per tick for the Controller.
+ * counters (ControlBlock stream totals, ring cursors, pool spill
+ * counts) plus an optional wire-shipper stats source into one
+ * rate-based Sample per tick for the Controller.
  *
  * The sampler also mirrors its derived signals back into the shared
  * TuningBlock — the per-tuple ring-lag EWMAs — so the numbers the
@@ -23,7 +22,6 @@
 
 #include "adapt/controller.h"
 #include "core/layout.h"
-#include "syscalls/classify.h"
 
 namespace varan::adapt {
 
@@ -60,8 +58,6 @@ class Sampler
     std::uint64_t prev_events_ = 0;
     std::uint64_t prev_spills_ = 0;
     WireSample prev_wire_;
-    /** Previous per-syscall histogram snapshot (TuningBlock mirror). */
-    std::uint64_t prev_hist_[core::kSyscallStatsSlots] = {};
 };
 
 } // namespace varan::adapt

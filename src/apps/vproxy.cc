@@ -1,5 +1,6 @@
 #include "apps/vproxy.h"
 
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -77,7 +78,7 @@ workerMain(int listen_fd, int shutdown_wr, std::size_t page_bytes)
     loop.add(listen_fd, EPOLLIN, [&](std::uint32_t) {
         long fd = netio::acceptConnection(listen_fd, false);
         if (fd < 0)
-            return; // another worker won the race
+            return; // another worker won the race (EAGAIN)
         clients[static_cast<int>(fd)] = Client{};
         loop.add(static_cast<int>(fd), EPOLLIN,
                  on_client(static_cast<int>(fd)));
@@ -98,6 +99,12 @@ serve(const Options &options)
     if (!listen.ok())
         return 65;
     const int listen_fd = listen.value();
+    // Every worker polls the shared listen socket level-triggered, so
+    // one connection wakes them all. The socket must be non-blocking:
+    // a loser would otherwise park in accept4 and stop serving the
+    // clients it already holds.
+    if (sys::vfcntl(listen_fd, F_SETFL, O_NONBLOCK) < 0)
+        return 65;
 
     // Workers announce shutdown over this pipe (streamed syscalls, so
     // every variant's master reacts at the same stream position).

@@ -69,8 +69,13 @@ enum class VariantRole : std::uint32_t {
     FollowerOnly = 1,
 };
 
-/** Per-variant status, written by variants and the coordinator. */
-struct VariantSlot {
+/** Per-variant status, written by variants and the coordinator.
+ *  Every variant bumps its own `syscalls` on every dispatch, so each
+ *  slot gets a cache line of its own. Packed 32-byte slots pair two
+ *  variants per line, and whether the leader's and a follower's
+ *  counters collide then depends on where the array lands in the
+ *  ControlBlock. */
+struct alignas(kCacheLineSize) VariantSlot {
     std::atomic<std::uint32_t> state;   ///< VariantState
     std::atomic<std::int32_t> exit_status;
     std::atomic<std::uint32_t> pid;
@@ -78,6 +83,10 @@ struct VariantSlot {
     std::atomic<std::uint32_t> role;     ///< VariantRole (election gate)
     std::atomic<std::uint32_t> restarts; ///< respawns by the restart policy
 };
+
+static_assert(alignof(VariantSlot) == 64 && sizeof(VariantSlot) == 64,
+              "one cache line per variant: no false sharing between "
+              "the variants' dispatch counters");
 
 /** One thread/process tuple: ring + payload shadow (section 3.3.3).
  *  The tuple's pool arena is keyed by the tuple id itself: tuple t
@@ -146,8 +155,10 @@ struct ControlBlock {
 
     /** Flight recorder, latency histograms, divergence ledger. Lives
      *  in the shared block so every attached process — including an
-     *  out-of-process `varanctl` — reads the same telemetry. */
-    trace::TraceBlock trace;
+     *  out-of-process `varanctl` — reads the same telemetry. Every
+     *  variant touches its header on every event, so it starts a cache
+     *  line whatever the size of the fields above. */
+    alignas(kCacheLineSize) trace::TraceBlock trace;
 
     VariantSlot variants[kMaxVariants];
     TupleSlot tuples[kMaxTuples];

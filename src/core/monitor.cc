@@ -14,10 +14,6 @@
 
 namespace varan::core {
 
-static_assert(kSyscallStatsSlots ==
-                  static_cast<std::uint32_t>(sys::kMaxSyscallNr),
-              "shared syscall-mix histogram covers the whole table");
-
 namespace {
 
 Monitor *g_monitor = nullptr;
@@ -51,58 +47,6 @@ fnv1a(const void *data, std::size_t len)
         h *= 16777619u;
     }
     return h;
-}
-
-/** write-family calls whose buffer contents we can cross-check. */
-bool
-hashableInBuffer(long nr, const std::uint64_t args[6], std::uint32_t *len)
-{
-    switch (nr) {
-      case SYS_write:
-      case SYS_pwrite64:
-      case SYS_sendto:
-        if (args[1] == 0)
-            return false;
-        *len = static_cast<std::uint32_t>(args[2]);
-        return true;
-      default:
-        return false;
-    }
-}
-
-constexpr std::uint32_t kChunkAbsent = 0xffffffffu;
-
-/** Leader-side length of one OUT chunk; kChunkAbsent when not filled. */
-std::uint32_t
-outChunkLen(const sys::OutBufferSpec &spec, const std::uint64_t args[6],
-            long result)
-{
-    if (spec.arg < 0 || args[spec.arg] == 0)
-        return kChunkAbsent;
-    switch (spec.len_from) {
-      case sys::LenFrom::Result:
-        return result >= 0 ? static_cast<std::uint32_t>(result)
-                           : kChunkAbsent;
-      case sys::LenFrom::ResultTimesSize:
-        return result >= 0
-                   ? static_cast<std::uint32_t>(result) * spec.fixed
-                   : kChunkAbsent;
-      case sys::LenFrom::Arg:
-        return static_cast<std::uint32_t>(args[spec.len_arg]) * spec.fixed;
-      case sys::LenFrom::Fixed:
-        return spec.fixed;
-      case sys::LenFrom::DerefArg: {
-        if (args[spec.len_arg] == 0 || result < 0)
-            return kChunkAbsent;
-        std::uint32_t n;
-        std::memcpy(&n, reinterpret_cast<const void *>(args[spec.len_arg]),
-                    sizeof(n));
-        return n;
-      }
-      case sys::LenFrom::None:
-      default:
-        return kChunkAbsent;
-    }
 }
 
 void
@@ -287,13 +231,6 @@ Monitor::dispatch(long nr, const std::uint64_t args[6])
     cb_->variants[config_.variant_id].syscalls.fetch_add(
         1, std::memory_order_relaxed);
 
-    // Hottest payload-free calls skip the classification branching
-    // below entirely (adaptive top-k fast path; off until the
-    // FastpathTopK knob goes non-zero).
-    long fast_result = 0;
-    if (tryFastPath(nr, args, &fast_result))
-        return fast_result;
-
     switch (info.cls) {
       case sys::SyscallClass::Local:
         // A pending coalesced run must not be held across a local call
@@ -340,14 +277,14 @@ Monitor::buildPayload(int tuple, const sys::SyscallInfo &info,
                       std::uint32_t *size_out, bool *spilled)
 {
     // Wire format: [out0: u32 len + bytes][out1: ...][fd numbers i32x2].
-    std::uint32_t lens[2] = {kChunkAbsent, kChunkAbsent};
+    std::uint32_t lens[2] = {sys::kChunkAbsent, sys::kChunkAbsent};
     std::size_t total = 0;
     for (int i = 0; i < 2; ++i) {
         if (info.out[i].arg < 0)
             continue;
-        lens[i] = outChunkLen(info.out[i], args, result);
+        lens[i] = sys::outChunkLen(info.out[i], args, result);
         total += sizeof(std::uint32_t);
-        if (lens[i] != kChunkAbsent)
+        if (lens[i] != sys::kChunkAbsent)
             total += lens[i];
     }
     const bool fd_array = info.fd_array_arg >= 0 && result >= 0;
@@ -373,7 +310,7 @@ Monitor::buildPayload(int tuple, const sys::SyscallInfo &info,
             continue;
         std::memcpy(p, &lens[i], sizeof(std::uint32_t));
         p += sizeof(std::uint32_t);
-        if (lens[i] != kChunkAbsent && lens[i] > 0) {
+        if (lens[i] != sys::kChunkAbsent && lens[i] > 0) {
             std::memcpy(p,
                         reinterpret_cast<const void *>(
                             args[info.out[i].arg]),
@@ -461,14 +398,6 @@ Monitor::coalesceBarrier(int tuple, const sys::SyscallInfo &info)
 }
 
 void
-Monitor::recordSyscallMix(long nr)
-{
-    if (nr >= 0 && nr < static_cast<long>(kSyscallStatsSlots)) {
-        cb_->tuning.sys_hist[nr].fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
-void
 Monitor::coalesceAdd(int tuple, ring::Event &event)
 {
     std::lock_guard<std::mutex> guard(coalesce_mutex_[tuple]);
@@ -497,74 +426,6 @@ Monitor::coalesceAdd(int tuple, ring::Event &event)
     // holding the run back would trade its latency for nothing.
     if (rings_[tuple].consumersWaiting() > 0)
         flushCoalesced(tuple);
-}
-
-bool
-Monitor::tryFastPath(long nr, const std::uint64_t args[6], long *result_out)
-{
-    const auto top_k = static_cast<std::uint32_t>(
-        liveKnob(cb_->tuning, Knob::FastpathTopK));
-    if (top_k == 0 || !isLeader())
-        return false;
-    if (nr < 0 || nr >= sys::kMaxSyscallNr)
-        return false;
-    // Membership scan of the shared hot table (slots hold nr + 1).
-    const std::uint32_t tag = static_cast<std::uint32_t>(nr) + 1;
-    bool hot = false;
-    for (std::uint32_t i = 0; i < top_k && i < kFastPathSlots; ++i) {
-        if (cb_->tuning.fastpath_nrs[i].load(std::memory_order_relaxed) ==
-            tag) {
-            hot = true;
-            break;
-        }
-    }
-    if (!hot)
-        return false;
-    std::int8_t ok = fastpath_ok_[nr];
-    if (ok == 0) {
-        ok = sys::fastpathEligible(nr) ? 1 : -1;
-        fastpath_ok_[nr] = ok;
-    }
-    if (ok < 0)
-        return false;
-
-    const int tuple = currentTuple();
-    const int slot = static_cast<int>(config_.variant_id);
-    // A promoted leader still draining its backlog replays, it does
-    // not record — same gate as the slow path.
-    if (rings_[tuple].consumerActive(slot)) {
-        if (rings_[tuple].lag(slot) > 0)
-            return false;
-        rings_[tuple].detachConsumer(slot);
-    }
-
-    recordSyscallMix(nr);
-    long result = sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
-                                  args[4], args[5]);
-    if (result == sys::kErestartsys) {
-        result = sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
-                                 args[4], args[5]);
-    }
-
-    ring::Event event = {};
-    event.type = ring::EventType::Syscall;
-    event.nr = static_cast<std::uint16_t>(nr);
-    event.result = result;
-    for (unsigned i = 0; i < ring::kInlineArgs; ++i)
-        event.args[i] = args[i];
-
-    cb_->tuning.fastpath_hits.fetch_add(1, std::memory_order_relaxed);
-    // Eligible calls are payload-free by construction, so the
-    // coalesced run is the natural sink when it is enabled (single
-    // live tuple only, as on the slow path).
-    if (config_.coalesce_publish &&
-        cb_->num_tuples.load(std::memory_order_acquire) == 1) {
-        coalesceAdd(tuple, event);
-    } else {
-        publishEvent(tuple, event, 0);
-    }
-    *result_out = result;
-    return true;
 }
 
 void
@@ -681,7 +542,6 @@ Monitor::dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
     // A pending coalesced run must not sit behind a call that can wait
     // indefinitely, and a stale run (leader went quiet) ships now.
     coalesceBarrier(tuple, info);
-    recordSyscallMix(nr);
 
     long result = sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
                                   args[4], args[5]);
@@ -708,14 +568,16 @@ Monitor::dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
             event.flags |= ring::kPayloadGlobalArena;
         event.payload = static_cast<std::uint32_t>(payload);
         event.payload_size = payload_size;
-    } else if (config_.verify_divergence) {
-        std::uint32_t hash_len = 0;
-        if (hashableInBuffer(nr, args, &hash_len)) {
-            event.flags |= ring::kDataHash;
-            event.payload = fnv1a(
-                reinterpret_cast<const void *>(args[1]), hash_len);
-            event.payload_size = hash_len;
-        }
+    } else if (config_.verify_divergence && info.hashed_in.arg >= 0 &&
+               args[info.hashed_in.arg] != 0) {
+        // Write-family call: followers must pass the same bytes.
+        const auto hash_len =
+            static_cast<std::uint32_t>(args[info.hashed_in.len_arg]);
+        event.flags |= ring::kDataHash;
+        event.payload = fnv1a(
+            reinterpret_cast<const void *>(args[info.hashed_in.arg]),
+            hash_len);
+        event.payload_size = hash_len;
     }
 
     // The coalescing fast path: a payload-free syscall event with no
@@ -778,7 +640,7 @@ Monitor::applyPayload(const ring::Event &event,
         std::uint32_t len;
         std::memcpy(&len, p, sizeof(len));
         p += sizeof(len);
-        if (len == kChunkAbsent)
+        if (len == sys::kChunkAbsent)
             continue;
         void *dst = reinterpret_cast<void *>(args[info.out[i].arg]);
         if (dst && len > 0)
@@ -1154,9 +1016,10 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
 
         // Content cross-check for write-family calls (section 2.2's
         // divergent-behaviour detection).
-        if ((event.flags & ring::kDataHash) && config_.verify_divergence) {
+        if ((event.flags & ring::kDataHash) && config_.verify_divergence &&
+            info.hashed_in.arg >= 0) {
             std::uint32_t my_hash = fnv1a(
-                reinterpret_cast<const void *>(args[1]),
+                reinterpret_cast<const void *>(args[info.hashed_in.arg]),
                 event.payload_size);
             if (my_hash != event.payload) {
                 recordDivergence(event, nr, args,

@@ -92,22 +92,14 @@ collectStatus(const shmem::Region *region, const EngineLayout &layout)
         tuning.adapt_samples.load(std::memory_order_relaxed);
     report.adapt.decisions =
         tuning.adapt_decisions.load(std::memory_order_relaxed);
-    report.adapt.fastpath_hits =
-        tuning.fastpath_hits.load(std::memory_order_relaxed);
     report.adapt.ship_batch =
         static_cast<std::uint32_t>(liveKnob(tuning, Knob::ShipBatch));
     report.adapt.credit_window =
         static_cast<std::uint32_t>(liveKnob(tuning, Knob::CreditWindow));
     report.adapt.coalesce_run =
         static_cast<std::uint32_t>(liveKnob(tuning, Knob::CoalesceRun));
-    report.adapt.fastpath_top_k =
-        static_cast<std::uint32_t>(liveKnob(tuning, Knob::FastpathTopK));
     report.adapt.coalesce_window_ns =
         liveKnob(tuning, Knob::CoalesceWindowNs);
-    for (std::uint32_t i = 0; i < kFastPathSlots; ++i) {
-        report.adapt.fastpath_nrs[i] =
-            tuning.fastpath_nrs[i].load(std::memory_order_relaxed);
-    }
 
     const trace::TraceBlock &tb = cb->trace;
     report.trace.enabled = tb.enabled.load(std::memory_order_relaxed);
@@ -369,9 +361,6 @@ statusText(const StatusReport &report)
     metric(out, "varan_adapt_pinned_mask", "gauge",
            "Bitmask of knobs pinned against adaptation",
            report.adapt.pinned_mask);
-    metric(out, "varan_fastpath_hits_total", "counter",
-           "Leader dispatches taken by the top-k fast path",
-           report.adapt.fastpath_hits);
     metric(out, "varan_tuning_ship_batch", "gauge",
            "Live ship batch (events per wire frame)",
            report.adapt.ship_batch);
@@ -383,9 +372,6 @@ statusText(const StatusReport &report)
     metric(out, "varan_tuning_coalesce_window_ns", "gauge",
            "Live coalesce staleness window (ns)",
            report.adapt.coalesce_window_ns);
-    metric(out, "varan_tuning_fastpath_top_k", "gauge",
-           "Live hot-syscall fast-path width (0 = off)",
-           report.adapt.fastpath_top_k);
 
     // Observability: flight recorder, latency histograms, divergence
     // ledger. Every metric name added here must be documented in

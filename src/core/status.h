@@ -117,15 +117,12 @@ struct AdaptStatus {
     std::uint32_t pinned_mask;  ///< knobs excluded from adaptation
     std::uint64_t samples;      ///< controller ticks taken
     std::uint64_t decisions;    ///< knob adjustments applied
-    std::uint64_t fastpath_hits; ///< leader fast-path dispatches
     // The live knob values (core::Tuning mirror).
     std::uint32_t ship_batch;
     std::uint32_t credit_window;
     std::uint32_t coalesce_run;
-    std::uint32_t fastpath_top_k;
+    std::uint32_t reserved;
     std::uint64_t coalesce_window_ns;
-    /** The hot table behind the top-k fast path (nr + 1; 0 = empty). */
-    std::uint32_t fastpath_nrs[kFastPathSlots];
 };
 
 /** One log2-bucket latency histogram, snapshotted from the shared

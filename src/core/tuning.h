@@ -2,12 +2,12 @@
  * @file
  * The unified live tuning surface of the event path.
  *
- * Every fast-path parameter that used to be a static config field —
+ * Every event-path parameter that used to be a static config field —
  * ship batch, credit window, coalesce run length, coalesce staleness
- * window, the top-k syscall fast path width — is one Knob backed by an
- * atomic slot in the shared region (TuningBlock, embedded in the
- * ControlBlock). Consumers re-read the live value at batch boundaries
- * instead of caching it at construction, so a knob turned mid-run —
+ * window — is one Knob backed by an atomic slot in the shared region
+ * (TuningBlock, embedded in the ControlBlock). Consumers re-read the
+ * live value at batch boundaries instead of caching it at
+ * construction, so a knob turned mid-run —
  * by an operator through Nvx::tuning(), or by the adaptive controller
  * in src/adapt/ — takes effect without restarting anything: not the
  * engine, not a reconnecting peer, not a promoted shipper.
@@ -39,18 +39,9 @@ enum class Knob : std::uint32_t {
     CreditWindow = 1,     ///< max unacked events per tuple per peer
     CoalesceRun = 2,      ///< leader publish-coalescing run cap
     CoalesceWindowNs = 3, ///< coalesced-run staleness cap
-    FastpathTopK = 4,     ///< hot-syscall fast-path width (0 = off)
 };
 
-inline constexpr std::uint32_t kNumKnobs = 5;
-
-/** Shared fast-path table width (top-k hot syscalls). */
-inline constexpr std::uint32_t kFastPathSlots = 8;
-
-/** Per-syscall histogram size; must equal sys::kMaxSyscallNr (the
- *  syscalls layer sits above this header, so the equality is asserted
- *  where both are visible). */
-inline constexpr std::uint32_t kSyscallStatsSlots = 512;
+inline constexpr std::uint32_t kNumKnobs = 4;
 
 /** lag_ewma slots; must equal kMaxTuples (asserted in layout.h). */
 inline constexpr std::uint32_t kTuningLagSlots = 16;
@@ -66,7 +57,6 @@ inline constexpr KnobRange kKnobRanges[kNumKnobs] = {
     {64, 1u << 20},        // CreditWindow
     {1, 64},               // CoalesceRun (== ring::PublishCoalescer::kMaxPending)
     {10000, 100000000},    // CoalesceWindowNs [10 µs, 100 ms]
-    {0, kFastPathSlots},   // FastpathTopK
 };
 
 /**
@@ -79,7 +69,6 @@ struct Tuning {
     std::uint32_t credit_window = 4096;
     std::uint32_t coalesce_run = 16;
     std::uint64_t coalesce_window_ns = 200000;
-    std::uint32_t fastpath_top_k = 0;
 };
 
 /** Adaptive-controller configuration (EngineConfig::adapt). */
@@ -106,18 +95,9 @@ struct TuningBlock {
     std::atomic<std::uint64_t> adapt_samples;   ///< controller ticks taken
     std::atomic<std::uint64_t> adapt_decisions; ///< knob adjustments applied
 
-    /** Top-k hot-syscall table: each slot holds nr + 1 (0 = empty).
-     *  Only the first FastpathTopK slots are consulted. */
-    std::atomic<std::uint32_t> fastpath_nrs[kFastPathSlots];
-    std::atomic<std::uint64_t> fastpath_hits;
-
     /** Per-tuple ring-lag EWMA (16.16 fixed point, in events), written
      *  by the adapt sampler at tick granularity. */
     std::atomic<std::uint64_t> lag_ewma[kTuningLagSlots];
-
-    /** Leader syscall-mix histogram: one relaxed counter per nr,
-     *  bumped on the leader's event path. */
-    std::atomic<std::uint64_t> sys_hist[kSyscallStatsSlots];
 };
 
 inline std::uint64_t
@@ -154,8 +134,6 @@ initTuningDefaults(TuningBlock &block)
         defaults.coalesce_run, std::memory_order_relaxed);
     block.values[static_cast<std::uint32_t>(Knob::CoalesceWindowNs)].store(
         defaults.coalesce_window_ns, std::memory_order_relaxed);
-    block.values[static_cast<std::uint32_t>(Knob::FastpathTopK)].store(
-        defaults.fastpath_top_k, std::memory_order_relaxed);
 }
 
 /**
@@ -181,7 +159,6 @@ seedTuning(TuningBlock &block, const Tuning &tuning)
     seedKnob(block, Knob::CreditWindow, tuning.credit_window);
     seedKnob(block, Knob::CoalesceRun, tuning.coalesce_run);
     seedKnob(block, Knob::CoalesceWindowNs, tuning.coalesce_window_ns);
-    seedKnob(block, Knob::FastpathTopK, tuning.fastpath_top_k);
 }
 
 /** Controller-side write: updates the live value (clamped, marked
@@ -259,8 +236,6 @@ class TuningHandle
         t.coalesce_run =
             static_cast<std::uint32_t>(get(Knob::CoalesceRun));
         t.coalesce_window_ns = get(Knob::CoalesceWindowNs);
-        t.fastpath_top_k =
-            static_cast<std::uint32_t>(get(Knob::FastpathTopK));
         return t;
     }
 
@@ -291,13 +266,6 @@ class TuningHandle
         return get(Knob::CoalesceWindowNs);
     }
     void coalesceWindowNs(std::uint64_t v) { set(Knob::CoalesceWindowNs, v); }
-
-    std::uint32_t
-    fastpathTopK() const
-    {
-        return static_cast<std::uint32_t>(get(Knob::FastpathTopK));
-    }
-    void fastpathTopK(std::uint32_t v) { set(Knob::FastpathTopK, v); }
 
   private:
     TuningBlock *block_ = nullptr;

@@ -113,36 +113,6 @@ recvMsg(int fd)
     return out;
 }
 
-/** Leader-side length of one OUT chunk (mirrors the core engine). */
-std::uint32_t
-outLen(const sys::OutBufferSpec &spec, const std::uint64_t args[6],
-       long result)
-{
-    if (spec.arg < 0 || args[spec.arg] == 0)
-        return 0;
-    switch (spec.len_from) {
-      case sys::LenFrom::Result:
-        return result > 0 ? static_cast<std::uint32_t>(result) : 0;
-      case sys::LenFrom::ResultTimesSize:
-        return result > 0 ? static_cast<std::uint32_t>(result) * spec.fixed
-                          : 0;
-      case sys::LenFrom::Arg:
-        return static_cast<std::uint32_t>(args[spec.len_arg]) * spec.fixed;
-      case sys::LenFrom::Fixed:
-        return result >= 0 ? spec.fixed : 0;
-      case sys::LenFrom::DerefArg: {
-        if (args[spec.len_arg] == 0 || result < 0)
-            return 0;
-        std::uint32_t n;
-        std::memcpy(&n, reinterpret_cast<const void *>(args[spec.len_arg]),
-                    sizeof(n));
-        return n;
-      }
-      default:
-        return 0;
-    }
-}
-
 /** Dispatcher installed in each lockstep variant. */
 class LockstepClient : public sys::Dispatcher
 {
@@ -185,8 +155,8 @@ class LockstepClient : public sys::Dispatcher
             done.nr = nr;
             done.result = result;
             const void *payload = nullptr;
-            std::uint32_t len = outLen(info.out[0], args, result);
-            if (len > kMaxInline)
+            std::uint32_t len = sys::outChunkLen(info.out[0], args, result);
+            if (len == sys::kChunkAbsent || len > kMaxInline)
                 len = 0; // cap for the baseline; fine for benches
             if (len > 0) {
                 payload = reinterpret_cast<const void *>(
@@ -360,6 +330,11 @@ LockstepEngine::run(std::vector<VariantFn> variants)
                 MsgHeader kill = {};
                 kill.kind = MsgKind::Killed;
                 sendMsg(pairs[v].end(0).get(), kill, nullptr);
+                // It exits (73) as soon as it reads Killed. Wait, bounded,
+                // for its socket end to close, so the teardown SIGKILL
+                // below cannot overtake that exit.
+                struct pollfd gone = {pairs[v].end(0).get(), 0, 0};
+                ::poll(&gone, 1, 1000);
                 pending[v] = false;
                 alive[v] = false;
                 --live_count;

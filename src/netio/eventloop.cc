@@ -119,6 +119,13 @@ EventLoop::runOnce(int timeout_ms)
 }
 
 void
+EventLoop::waitReady(int timeout_ms)
+{
+    struct epoll_event event;
+    sys::vepoll_wait(epoll_fd_, &event, 1, timeout_ms);
+}
+
+void
 EventLoop::run(int tick_ms)
 {
     stopping_ = false;

@@ -52,6 +52,15 @@ class EventLoop
     /** One epoll_wait + dispatch pass; returns events handled. */
     int runOnce(int timeout_ms);
 
+    /**
+     * Block until a registered descriptor is ready or @p timeout_ms
+     * passes, dispatching nothing: a following runOnce() handles what
+     * is ready (registrations are level-triggered). Touches only the
+     * epoll instance, so a caller that serializes add()/remove()/
+     * runOnce() under a lock can wait here without holding it.
+     */
+    void waitReady(int timeout_ms);
+
     void stop() { stopping_ = true; }
     std::uint64_t iterations() const { return iterations_; }
 

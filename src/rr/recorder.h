@@ -84,6 +84,13 @@ class LogSink
 
     LogSink(const shmem::Region *region, const core::EngineLayout *layout,
             std::string path, Options options);
+    /** Production defaults: batched drain, bounded spill, evict on a
+     *  slow disk. */
+    LogSink(const shmem::Region *region, const core::EngineLayout *layout,
+            std::string path)
+        : LogSink(region, layout, std::move(path), Options())
+    {
+    }
     ~LogSink();
 
     VARAN_NO_COPY_NO_MOVE(LogSink);
@@ -143,34 +150,6 @@ class LogSink
     Stats stats_;
 
     int tap_slot_[core::kMaxTuples];
-};
-
-/**
- * The classic recorder surface, now a thin wrapper over LogSink with
- * production defaults (batched drain, bounded spill, evict-on-slow-
- * disk). Kept so examples and callers written against the original
- * API keep compiling.
- */
-class Recorder
-{
-  public:
-    using Stats = LogSink::Stats;
-
-    Recorder(const shmem::Region *region, const core::EngineLayout *layout,
-             std::string path, LogSink::Options options = {})
-        : sink_(region, layout, std::move(path), options)
-    {
-    }
-
-    VARAN_NO_COPY_NO_MOVE(Recorder);
-
-    Status attachTaps() { return sink_.attachTaps(); }
-    void startDraining() { sink_.startDraining(); }
-    Result<Stats> finish() { return sink_.finish(); }
-    Stats stats() const { return sink_.stats(); }
-
-  private:
-    LogSink sink_;
 };
 
 /**

@@ -173,6 +173,10 @@ buildTable()
     set(SYS_socketpair, "socketpair", FdCreating);
     t[SYS_socketpair].fd_array_arg = 3;
 
+    // Write-family calls: the buffer is args[1], its length args[2].
+    for (long nr : {SYS_write, SYS_pwrite64, SYS_sendto})
+        t[static_cast<std::size_t>(nr)].hashed_in = InBufferSpec{1, 2};
+
     // Calls that can wait indefinitely on external input: the leader
     // must drain any coalesced publish run before entering them.
     for (long nr : {SYS_read, SYS_pread64, SYS_recvfrom, SYS_poll,
@@ -253,18 +257,6 @@ handledSyscallCount()
             ++count;
     }
     return count;
-}
-
-bool
-fastpathEligible(long nr)
-{
-    // The divergence checker hashes these calls' IN buffers; taking
-    // the hash-free fast path for them would drop verification.
-    if (nr == SYS_write || nr == SYS_pwrite64 || nr == SYS_sendto)
-        return false;
-    const SyscallInfo &info = syscallInfo(nr);
-    return info.cls == SyscallClass::Replicated && info.out[0].arg < 0 &&
-           info.out[1].arg < 0 && info.fd_array_arg < 0 && !info.may_block;
 }
 
 } // namespace varan::sys

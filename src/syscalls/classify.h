@@ -24,6 +24,7 @@
 #define VARAN_SYSCALLS_CLASSIFY_H
 
 #include <cstdint>
+#include <cstring>
 
 namespace varan::sys {
 
@@ -55,12 +56,63 @@ struct OutBufferSpec {
     std::uint32_t fixed = 0;     ///< byte count / element size
 };
 
+/** Length of an OUT chunk the kernel did not fill (null buffer, or a
+ *  failed call whose length comes from the result). */
+inline constexpr std::uint32_t kChunkAbsent = 0xffffffffu;
+
+/**
+ * Bytes of @p spec's buffer the leader copies out after the call
+ * returned @p result; kChunkAbsent when there is nothing to copy. The
+ * one rule every engine that replays OUT buffers shares, so payloads
+ * and record-replay logs agree byte for byte.
+ */
+inline std::uint32_t
+outChunkLen(const OutBufferSpec &spec, const std::uint64_t args[6],
+            long result)
+{
+    if (spec.arg < 0 || args[spec.arg] == 0)
+        return kChunkAbsent;
+    switch (spec.len_from) {
+      case LenFrom::Result:
+        return result >= 0 ? static_cast<std::uint32_t>(result)
+                           : kChunkAbsent;
+      case LenFrom::ResultTimesSize:
+        return result >= 0
+                   ? static_cast<std::uint32_t>(result) * spec.fixed
+                   : kChunkAbsent;
+      case LenFrom::Arg:
+        return static_cast<std::uint32_t>(args[spec.len_arg]) * spec.fixed;
+      case LenFrom::Fixed:
+        return spec.fixed;
+      case LenFrom::DerefArg: {
+        if (args[spec.len_arg] == 0 || result < 0)
+            return kChunkAbsent;
+        std::uint32_t n;
+        std::memcpy(&n, reinterpret_cast<const void *>(args[spec.len_arg]),
+                    sizeof(n));
+        return n;
+      }
+      case LenFrom::None:
+      default:
+        return kChunkAbsent;
+    }
+}
+
+/** An IN (caller-fills-it) buffer whose contents the divergence
+ *  checker hashes: the leader streams the hash, every follower must
+ *  pass the same bytes. */
+struct InBufferSpec {
+    std::int8_t arg = -1;     ///< which argument is the buffer
+    std::int8_t len_arg = -1; ///< argument holding its byte count
+};
+
 /** Full semantic description of one system call. */
 struct SyscallInfo {
     const char *name = "unknown";
     SyscallClass cls = SyscallClass::Unhandled;
     OutBufferSpec out[2] = {};     ///< up to two OUT buffers
     std::int8_t fd_array_arg = -1; ///< pipe/socketpair: int[2] argument
+    InBufferSpec hashed_in = {};   ///< write family: cross-checked bytes
     /** Can wait indefinitely on external input (read, accept, poll,
      *  ...). The leader flushes any coalesced publish run before
      *  executing such a call — otherwise buffered events would starve
@@ -76,16 +128,6 @@ const SyscallInfo &syscallInfo(long nr);
 
 /** Number of system calls with a non-Unhandled classification. */
 std::size_t handledSyscallCount();
-
-/**
- * True if @p nr may take the adaptive top-k leader fast path: a
- * Replicated call with no OUT buffers, no descriptor side effects and
- * no blocking semantics, whose result is fully described by the event
- * word itself. Calls the divergence checker hashes from IN buffers
- * (write/pwrite64/sendto) are excluded — the fast path skips hashing,
- * and skipping it would silently weaken verification.
- */
-bool fastpathEligible(long nr);
 
 } // namespace varan::sys
 

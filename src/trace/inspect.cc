@@ -220,10 +220,9 @@ renderTuning(const core::StatusReport &report)
             report.adapt.active ? "on" : "off", report.adapt.samples,
             report.adapt.decisions, report.adapt.pinned_mask);
     appendf(out, "ship_batch=%u credit_window=%u coalesce_run=%u "
-                 "coalesce_window_ns=%" PRIu64 " fastpath_top_k=%u\n",
+                 "coalesce_window_ns=%" PRIu64 "\n",
             report.adapt.ship_batch, report.adapt.credit_window,
-            report.adapt.coalesce_run, report.adapt.coalesce_window_ns,
-            report.adapt.fastpath_top_k);
+            report.adapt.coalesce_run, report.adapt.coalesce_window_ns);
     return out;
 }
 

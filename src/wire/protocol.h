@@ -5,7 +5,7 @@
  *
  * The normative byte-level specification — frame header layout,
  * checksum coverage, every body struct, the epoch-reconciliation rules
- * and the v1→v3 version history — lives in docs/WIRE_PROTOCOL.md.
+ * and the version history — lives in docs/WIRE_PROTOCOL.md.
  * Keep the two in sync: CI greps that document for the version this
  * header declares.
  *
@@ -96,7 +96,9 @@
 namespace varan::wire {
 
 inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
-/** v6: the quorum control plane — Lease/Vote/Fence frames carry
+/** v7: the Status body lost the adaptive fast-path fields (hit count,
+ *  top-k width, hot table) along with the fast path itself.
+ *  v6: the quorum control plane — Lease/Vote/Fence frames carry
  *  lease-based leader election between receiver nodes, so promotion
  *  is gated on a quorum of the configured membership instead of a
  *  single hand-armed watchdog. The Status body grew the QuorumStatus
@@ -117,7 +119,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
  *  v2: the Status frame became the status RPC (empty body = request,
  *  core::StatusReport body = reply); in v1 it carried a HelloBody and
  *  nothing ever sent it. */
-inline constexpr std::uint16_t kProtocolVersion = 6;
+inline constexpr std::uint16_t kProtocolVersion = 7;
 
 /** Upper bound on a frame body; anything larger is corruption. */
 inline constexpr std::uint32_t kMaxBodyBytes = 16u << 20;
@@ -281,6 +283,10 @@ headerValid(const FrameHeader &h)
         return false;
     return true;
 }
+
+static_assert(sizeof(core::StatusReport) == 2624,
+              "the Status body is wire-visible: a layout change needs a "
+              "kProtocolVersion bump and a docs/WIRE_PROTOCOL.md row");
 
 /** Wire size of a Status reply: header + serialized StatusReport. */
 inline constexpr std::size_t kStatusFrameBytes =

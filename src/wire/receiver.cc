@@ -533,13 +533,28 @@ Receiver::readFrame()
 int
 Receiver::serveOnce(int timeout_ms)
 {
+    int fd = -1;
+    {
+        std::lock_guard<std::mutex> guard(mutex_);
+        if (!link_up_.load(std::memory_order_acquire))
+            return -1;
+        fd = socket_fd_;
+    }
+    // Wait for the first frame without mutex_: the serve loop re-locks
+    // the moment it unlocks, so a requestStatus()/remoteStatus() caller
+    // waiting on a lock held across the wait could starve for seconds
+    // on a busy machine. The wake-up is only a hint (the link may have
+    // been replaced meanwhile); the locked pass below re-checks.
+    struct pollfd wait = {fd, POLLIN, 0};
+    ::poll(&wait, 1, timeout_ms);
+
     std::lock_guard<std::mutex> guard(mutex_);
     if (!link_up_.load(std::memory_order_acquire))
         return -1;
     struct pollfd pfd = {socket_fd_, POLLIN, 0};
     int frames = 0;
     for (;;) {
-        int n = ::poll(&pfd, 1, frames == 0 ? timeout_ms : 0);
+        int n = ::poll(&pfd, 1, 0);
         if (n < 0 && errno == EINTR)
             continue;
         if (n <= 0)

@@ -867,8 +867,7 @@ Shipper::drainRemaining()
                  "(credit window closed or receiver not reading)");
             break;
         }
-        std::lock_guard<std::mutex> guard(mutex_);
-        loop_.runOnce(options_.tick_ms); // wait for credits
+        loop_.waitReady(options_.tick_ms); // credits: next pumpOnce()
     }
 }
 
@@ -877,12 +876,12 @@ Shipper::pumpLoop()
 {
     while (!stopping_.load(std::memory_order_acquire)) {
         if (pumpOnce() == 0) {
-            // Idle: wait for credits or the next tick. The lock is
-            // held through the wait, like every other loop_ access —
-            // bounded by tick_ms, so handshakes and stats reads stall
-            // at most one tick.
-            std::lock_guard<std::mutex> guard(mutex_);
-            loop_.runOnce(options_.tick_ms);
+            // Idle: wait for peer input or the next tick, then let
+            // pumpOnce() handle it. Not under mutex_: this thread
+            // re-locks the moment it unlocks, so a stats() or
+            // handshake caller waiting on a lock held across the wait
+            // could starve for seconds on a busy machine.
+            loop_.waitReady(options_.tick_ms);
         }
     }
     // Final sweep: ship whatever the leader published before stop.

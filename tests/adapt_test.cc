@@ -4,7 +4,7 @@
  * pinning, first-seeder-wins seeding), the AIMD controller driven by
  * scripted fake samples (convergence, regression backoff, hysteresis
  * dead band, hard floors/ceilings), the AutoTuner against a real
- * shared layout (pinned knobs skipped, fast-path table maintenance),
+ * shared layout (pinned knobs skipped, decisions counted),
  * live knob re-reads by the wire shipper and the publish coalescer
  * mid-run (no restart), the promoted-shipper knob-adoption regression,
  * the unsolicited Status push, BPF hot-rule heat counters, and the
@@ -13,7 +13,6 @@
  */
 
 #include <sys/socket.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -48,8 +47,6 @@ TEST(TuningTest, ClampEnforcesFloorsAndCeilings)
     EXPECT_EQ(core::clampKnob(Knob::CreditWindow, 1), 64u);
     EXPECT_EQ(core::clampKnob(Knob::CoalesceRun, 9999), 64u);
     EXPECT_EQ(core::clampKnob(Knob::CoalesceWindowNs, 1), 10000u);
-    EXPECT_EQ(core::clampKnob(Knob::FastpathTopK, 100),
-              core::kFastPathSlots);
 }
 
 TEST(TuningTest, HandleSetClampsPinsAndSnapshots)
@@ -129,9 +126,6 @@ applyStep(adapt::Controller &controller, const adapt::Sample &sample,
             break;
           case Knob::CoalesceWindowNs:
             tuning.coalesce_window_ns = d.to;
-            break;
-          case Knob::FastpathTopK:
-            tuning.fastpath_top_k = static_cast<std::uint32_t>(d.to);
             break;
         }
     }
@@ -240,19 +234,6 @@ TEST(ControllerTest, CreditWindowDoublesUnderStallPressure)
     EXPECT_EQ(tuning.credit_window, 16384u);
 }
 
-TEST(ControllerTest, FastpathWidthFollowsHotSet)
-{
-    adapt::Controller controller(everyTick());
-    Tuning tuning;
-    adapt::Sample sample;
-    sample.hot_count = 3;
-    applyStep(controller, sample, tuning, Knob::FastpathTopK);
-    EXPECT_EQ(tuning.fastpath_top_k, 3u);
-    sample.hot_count = 0;
-    applyStep(controller, sample, tuning, Knob::FastpathTopK);
-    EXPECT_EQ(tuning.fastpath_top_k, 0u); // cold set switches it back off
-}
-
 // ------------------------------------------------------------- AutoTuner
 
 /** A 1-variant shared layout the AutoTuner samples; the test fakes the
@@ -298,34 +279,6 @@ TEST(AutoTunerTest, SkipsPinnedKnobsAndCountsDecisions)
     EXPECT_GT(engine.cb()->tuning.adapt_samples.load(
                   std::memory_order_relaxed),
               0u);
-}
-
-TEST(AutoTunerTest, FastpathTableFollowsHotSyscalls)
-{
-    FakeEngine engine;
-    adapt::AutoTuner::Options options;
-    options.controller = everyTick();
-    adapt::AutoTuner tuner(&engine.region, &engine.layout, options);
-
-    std::uint64_t now = 1000000;
-    tuner.tickOnce(now);
-    // A getpid-dominated tick: eligible, payload-free, replicated.
-    engine.cb()->tuning.sys_hist[SYS_getpid].fetch_add(
-        50000, std::memory_order_relaxed);
-    engine.cb()->tuning.sys_hist[SYS_write].fetch_add(
-        10, std::memory_order_relaxed); // hashable: never fast-pathed
-    now += 10000000;
-    tuner.tickOnce(now);
-
-    TuningBlock &tuning = engine.cb()->tuning;
-    EXPECT_EQ(tuning.fastpath_nrs[0].load(std::memory_order_relaxed),
-              static_cast<std::uint32_t>(SYS_getpid) + 1);
-    EXPECT_GE(core::liveKnob(tuning, Knob::FastpathTopK), 1u);
-
-    // The workload goes cold: the width drops back to zero.
-    now += 10000000;
-    tuner.tickOnce(now);
-    EXPECT_EQ(core::liveKnob(tuning, Knob::FastpathTopK), 0u);
 }
 
 // ------------------------------------------- live knob consumers (wire)
@@ -596,7 +549,7 @@ TEST(AdaptEngineTest, LiveTuningVisibleInStatusWithoutRestart)
         char go = 0;
         if (sys::vread(gate[0], &go, 1) != 1)
             return 9;
-        // Post-retune work: payload-free calls the fast path can take.
+        // Post-retune work.
         long pid = 0;
         for (int i = 0; i < 200; ++i)
             pid = sys::vgetpid();
@@ -608,16 +561,10 @@ TEST(AdaptEngineTest, LiveTuningVisibleInStatusWithoutRestart)
     TuningHandle handle = nvx.tuning();
     ASSERT_TRUE(handle.valid());
     handle.set(Knob::CoalesceRun, 32);
-    // ... and arm the top-k fast path for getpid by hand.
-    nvx.controlBlock()->tuning.fastpath_nrs[0].store(
-        static_cast<std::uint32_t>(SYS_getpid) + 1,
-        std::memory_order_relaxed);
-    handle.set(Knob::FastpathTopK, 1);
 
     // The very next StatusReport shows the new values — no restart.
     core::StatusReport report = nvx.status();
     EXPECT_EQ(report.adapt.coalesce_run, 32u);
-    EXPECT_EQ(report.adapt.fastpath_top_k, 1u);
     const std::string text = nvx.statusText();
     EXPECT_NE(text.find("varan_tuning_coalesce_run 32"),
               std::string::npos);
@@ -626,9 +573,6 @@ TEST(AdaptEngineTest, LiveTuningVisibleInStatusWithoutRestart)
     auto results = nvx.wait();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, 0);
-
-    // The getpid storm after the retune went through the fast path.
-    EXPECT_GE(nvx.status().adapt.fastpath_hits, 100u);
     ::close(gate[0]);
     ::close(gate[1]);
 }

@@ -7,6 +7,10 @@
  * rewrite rules (section 5.2).
  */
 
+#include <csignal>
+#include <cstdlib>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -296,6 +300,83 @@ TEST(ServeNativeTest, VproxyPreforkServes)
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/** One keep-alive GET on @p fd: false on error, EOF or a receive
+ *  timeout (the caller sets SO_RCVTIMEO). */
+bool
+httpGet(int fd)
+{
+    const std::string request =
+        "GET /index.html HTTP/1.1\r\nHost: varan\r\n\r\n";
+    if (!netio::sendAll(fd, request.data(), request.size()).isOk())
+        return false;
+    auto head = netio::recvUntil(fd, "\r\n\r\n");
+    if (!head.ok())
+        return false;
+    const std::string &data = head.value();
+    const std::size_t header_end = data.find("\r\n\r\n");
+    const std::size_t cl = data.find("Content-Length: ");
+    if (header_end == std::string::npos || cl == std::string::npos)
+        return false;
+    const std::size_t body_len =
+        std::strtoul(data.c_str() + cl + 16, nullptr, 10);
+    std::size_t have = data.size() - header_end - 4;
+    while (have < body_len) {
+        auto more = netio::recvSome(fd, body_len - have);
+        if (!more.ok() || more.value().empty())
+            return false;
+        have += more.value().size();
+    }
+    return true;
+}
+
+TEST(ServeNativeTest, VproxyPreforkServesInterleavedConnections)
+{
+    // Every new connection wakes both workers; the one that loses the
+    // accept race must go back to its own clients, not park in accept.
+    // Opening a connection between requests on the older ones catches
+    // a parked worker as a receive timeout instead of a hung test.
+    std::string endpoint = uniqueEndpoint("proxy-interleave");
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::setpgid(0, 0); // the parent can kill master and workers at once
+        apps::vproxy::Options options;
+        options.endpoint = endpoint;
+        options.workers = 2;
+        ::_exit(apps::vproxy::serve(options));
+    }
+    std::vector<int> conns;
+    bool served = true;
+    for (int round = 0; round < 8 && served; ++round) {
+        auto conn = netio::connectAbstract(endpoint, 2000);
+        if (!conn.ok()) {
+            ADD_FAILURE() << "connect failed in round " << round;
+            served = false;
+            break;
+        }
+        struct timeval timeout = {2, 0};
+        ::setsockopt(conn.value(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof(timeout));
+        conns.push_back(conn.value());
+        for (std::size_t c = 0; c < conns.size() && served; ++c) {
+            served = httpGet(conns[c]);
+            EXPECT_TRUE(served) << "connection " << c << " not served in "
+                                << "round " << round;
+        }
+    }
+    for (int fd : conns)
+        ::close(fd);
+    if (served)
+        bench::httpShutdown(endpoint);
+    else
+        ::kill(-pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    if (served) {
+        EXPECT_EQ(WEXITSTATUS(status), 0);
+    }
 }
 
 // --- servers under the NVX engine ---

@@ -17,6 +17,7 @@
 #include <memory>
 #include <poll.h>
 #include <sys/mman.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
@@ -449,14 +450,35 @@ TEST(NvxTest, ErrnoRuleSynthesisesResult)
     EXPECT_EQ(results[1].status, 0);
 }
 
-TEST(NvxTest, WriteContentDivergenceIsDetected)
+/** Every syscall whose table row names a hashed IN buffer: a
+ *  follower passing different bytes than the leader is a fatal
+ *  divergence. */
+class WriteContentDivergenceTest : public ::testing::TestWithParam<long>
 {
+};
+
+TEST_P(WriteContentDivergenceTest, IsDetected)
+{
+    const long nr = GetParam();
+    ASSERT_GE(sys::syscallInfo(nr).hashed_in.arg, 0);
+    // The leader's bytes land in fds[1] and are read back from fds[0]:
+    // pwrite64 needs a seekable file, sendto a socket.
     int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    auto app = [fds]() -> int {
+    if (nr == SYS_pwrite64) {
+        fds[0] = ::memfd_create("varan-divergence", 0);
+        ASSERT_GE(fds[0], 0);
+        fds[1] = ::dup(fds[0]);
+    } else if (nr == SYS_sendto) {
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    } else {
+        ASSERT_EQ(::pipe(fds), 0);
+    }
+    auto app = [fds, nr]() -> int {
         const bool follower = Monitor::instance()->variantId() == 1;
         const char *msg = follower ? "EVIL!" : "good.";
-        sys::vwrite(fds[1], msg, 5);
+        // Trailing arguments stay 0: pwrite64 at offset 0, sendto with
+        // no flags on the connected socket.
+        sys::invoke(nr, fds[1], reinterpret_cast<long>(msg), 5);
         return 0;
     };
     Nvx nvx(fastConfig());
@@ -467,6 +489,13 @@ TEST(NvxTest, WriteContentDivergenceIsDetected)
     ::close(fds[0]);
     ::close(fds[1]);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    NvxTest, WriteContentDivergenceTest,
+    ::testing::Values(SYS_write, SYS_pwrite64, SYS_sendto),
+    [](const ::testing::TestParamInfo<long> &info) {
+        return std::string(sys::syscallInfo(info.param).name);
+    });
 
 TEST(NvxTest, MultiThreadedTuplesStreamIndependently)
 {

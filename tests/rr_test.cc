@@ -75,7 +75,7 @@ TEST(RecorderTest, CapturesEveryEvent)
 {
     std::string path = tempLogPath();
     core::Nvx nvx(engineConfig());
-    Recorder recorder(nvx.region(), &nvx.layout(), path);
+    LogSink recorder(nvx.region(), &nvx.layout(), path);
 
     auto app = []() -> int {
         for (int i = 0; i < 25; ++i)
@@ -118,7 +118,7 @@ TEST(RecorderTest, CapturesPayloads)
     ::close(tmp);
 
     core::Nvx nvx(engineConfig());
-    Recorder recorder(nvx.region(), &nvx.layout(), path);
+    LogSink recorder(nvx.region(), &nvx.layout(), path);
     std::string fname(file_path);
     auto app = [fname]() -> int {
         long fd = sys::vopen(fname.c_str(), O_RDONLY);
@@ -161,7 +161,7 @@ TEST(RecorderTest, WriteFailureSurfacesInFinish)
 {
     std::string path = tempLogPath();
     core::Nvx nvx(engineConfig());
-    Recorder recorder(nvx.region(), &nvx.layout(), path);
+    LogSink recorder(nvx.region(), &nvx.layout(), path);
 
     auto app = []() -> int {
         // 200 records at 80 bytes apiece blow well past the 4 KiB
@@ -210,7 +210,7 @@ TEST(RecorderTest, AttachFailureUnlinksLog)
 {
     std::string path = tempLogPath();
     core::Nvx nvx(engineConfig());
-    Recorder recorder(nvx.region(), &nvx.layout(), path);
+    LogSink recorder(nvx.region(), &nvx.layout(), path);
 
     auto app = []() -> int { return 0; };
     ASSERT_TRUE(
@@ -374,7 +374,7 @@ TEST(ReplayTest, RecordThenReplayDrivesFollowers)
     {
         // Phase 1: record a live run.
         core::Nvx nvx(engineConfig());
-        Recorder recorder(nvx.region(), &nvx.layout(), path);
+        LogSink recorder(nvx.region(), &nvx.layout(), path);
         ASSERT_TRUE(nvx.start({app}, [&](core::Nvx &) {
                            ASSERT_TRUE(recorder.attachTaps().isOk());
                            recorder.startDraining();
@@ -436,7 +436,7 @@ TEST(ReplayTest, ReplayIntoRestart)
             return 7;
         };
         core::Nvx nvx(engineConfig());
-        Recorder recorder(nvx.region(), &nvx.layout(), path);
+        LogSink recorder(nvx.region(), &nvx.layout(), path);
         ASSERT_TRUE(nvx.start({app}, [&](core::Nvx &) {
                            ASSERT_TRUE(recorder.attachTaps().isOk());
                            recorder.startDraining();

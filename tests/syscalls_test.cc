@@ -5,6 +5,7 @@
 
 #include <sys/syscall.h>
 #include <unistd.h>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,45 @@ TEST(ClassifyTest, OutBufferSpecsDescribeTransfers)
     const SyscallInfo &epoll = syscallInfo(SYS_epoll_wait);
     EXPECT_EQ(epoll.out[0].len_from, LenFrom::ResultTimesSize);
     EXPECT_EQ(epoll.out[0].fixed, 12u);
+}
+
+TEST(ClassifyTest, HashedInBuffersAreTheWriteFamily)
+{
+    std::vector<long> hashed;
+    for (long nr = 0; nr < kMaxSyscallNr; ++nr) {
+        const InBufferSpec &in = syscallInfo(nr).hashed_in;
+        if (in.arg < 0)
+            continue;
+        hashed.push_back(nr);
+        EXPECT_EQ(in.arg, 1) << syscallInfo(nr).name;
+        EXPECT_EQ(in.len_arg, 2) << syscallInfo(nr).name;
+    }
+    EXPECT_EQ(hashed, (std::vector<long>{SYS_write, SYS_pwrite64,
+                                         SYS_sendto}));
+}
+
+TEST(ClassifyTest, OutChunkLenFollowsTheSpec)
+{
+    char buf[16];
+    std::uint32_t addrlen = 7;
+    const std::uint64_t args[6] = {3, reinterpret_cast<std::uint64_t>(buf),
+                                   reinterpret_cast<std::uint64_t>(&addrlen),
+                                   0, 0, 0};
+    const OutBufferSpec &read_out = syscallInfo(SYS_read).out[0];
+    EXPECT_EQ(outChunkLen(read_out, args, 5), 5u);
+    EXPECT_EQ(outChunkLen(read_out, args, -11), kChunkAbsent);
+
+    // A fixed-size buffer is copied whatever the result.
+    const OutBufferSpec &fstat_out = syscallInfo(SYS_fstat).out[0];
+    EXPECT_EQ(outChunkLen(fstat_out, args, -9), 144u);
+
+    const OutBufferSpec &accept_out = syscallInfo(SYS_accept4).out[0];
+    EXPECT_EQ(outChunkLen(accept_out, args, 4), 7u);
+    EXPECT_EQ(outChunkLen(accept_out, args, -11), kChunkAbsent);
+
+    const std::uint64_t null_buf[6] = {3, 0, 0, 0, 0, 0};
+    EXPECT_EQ(outChunkLen(read_out, null_buf, 5), kChunkAbsent);
+    EXPECT_EQ(outChunkLen(OutBufferSpec{}, args, 5), kChunkAbsent);
 }
 
 TEST(ClassifyTest, UnknownNumbersAreUnhandled)

@@ -340,9 +340,8 @@ const char *const kMetricNames[] = {
     "varan_recorder_active", "varan_recorder_events_total",
     "varan_adapt_active", "varan_adapt_samples_total",
     "varan_adapt_decisions_total", "varan_adapt_pinned_mask",
-    "varan_fastpath_hits_total", "varan_tuning_ship_batch",
-    "varan_tuning_credit_window", "varan_tuning_coalesce_run",
-    "varan_tuning_coalesce_window_ns", "varan_tuning_fastpath_top_k",
+    "varan_tuning_ship_batch", "varan_tuning_credit_window",
+    "varan_tuning_coalesce_run", "varan_tuning_coalesce_window_ns",
     "varan_trace_enabled", "varan_trace_records_total",
     "varan_divergence_records_total", "varan_publish_lag_ns",
     "varan_coalesce_dwell_ns", "varan_credit_stall_ns",
