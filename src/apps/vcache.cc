@@ -5,6 +5,7 @@
 #include <mutex>
 #include <sys/epoll.h>
 
+#include "common/hash.h"
 #include "core/nvx.h"
 #include "netio/eventloop.h"
 #include "netio/socketio.h"
@@ -29,12 +30,7 @@ Cache::~Cache() = default;
 std::size_t
 Cache::shardOf(const std::string &key) const
 {
-    std::uint32_t h = 2166136261u;
-    for (char c : key) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 16777619u;
-    }
-    return h % shards_.size();
+    return crc32c(key.data(), key.size()) % shards_.size();
 }
 
 bool

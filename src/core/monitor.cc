@@ -9,6 +9,7 @@
 
 #include "common/clock.h"
 #include "common/fdpass.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "syscalls/raw.h"
 
@@ -34,19 +35,6 @@ std::uint32_t
 publisherOf(const ring::Event &event)
 {
     return (event.flags >> kPublisherShift) & 0xf;
-}
-
-/** FNV-1a, used to cross-check IN-buffer contents across variants. */
-std::uint32_t
-fnv1a(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t h = 2166136261u;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 16777619u;
-    }
-    return h;
 }
 
 void
@@ -574,7 +562,7 @@ Monitor::dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
         const auto hash_len =
             static_cast<std::uint32_t>(args[info.hashed_in.len_arg]);
         event.flags |= ring::kDataHash;
-        event.payload = fnv1a(
+        event.payload = crc32c(
             reinterpret_cast<const void *>(args[info.hashed_in.arg]),
             hash_len);
         event.payload_size = hash_len;
@@ -805,7 +793,7 @@ Monitor::recordDivergence(const ring::Event &event, long nr,
 {
     trace::DivergenceRecord rec = {};
     rec.lamport = event.timestamp;
-    rec.arg_digest = fnv1a(args, 6 * sizeof(std::uint64_t));
+    rec.arg_digest = crc32c(args, 6 * sizeof(std::uint64_t));
     rec.ns = monotonicNs();
     rec.origin_id = 0; // local node; the wire relay overwrites this
     rec.epoch = cb_->epoch.load(std::memory_order_acquire);
@@ -1018,7 +1006,7 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
         // divergent-behaviour detection).
         if ((event.flags & ring::kDataHash) && config_.verify_divergence &&
             info.hashed_in.arg >= 0) {
-            std::uint32_t my_hash = fnv1a(
+            std::uint32_t my_hash = crc32c(
                 reinterpret_cast<const void *>(args[info.hashed_in.arg]),
                 event.payload_size);
             if (my_hash != event.payload) {

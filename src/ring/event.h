@@ -35,7 +35,7 @@ enum EventFlags : std::uint32_t {
     kArgsSpilled = 1u << 1,  ///< args 4..5 stored at payload start
     kFdTransfer = 1u << 2,   ///< a descriptor follows on the data channel
     kRestartable = 1u << 3,  ///< call was interrupted (-ERESTARTSYS path)
-    kDataHash = 1u << 4,     ///< args[3] holds a hash of IN-buffer data
+    kDataHash = 1u << 4,     ///< payload holds a CRC32C of IN-buffer data
     /** The payload spilled out of the publishing tuple's pool arena
      *  into the global-fallback arena (cross-shard allocation). Payload
      *  offsets stay region-absolute either way — consumers resolve them

@@ -4,8 +4,43 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/hash.h"
 
 namespace varan::rr {
+
+namespace {
+
+/** The v3 record checksum: CRC32C over header-before-crc, then the
+ *  payload. */
+std::uint32_t
+recordChecksum(const RecordHeader &rec, const void *payload)
+{
+    std::uint32_t crc = crc32c(&rec, kRecordCrcOffset);
+    if (rec.payload_size > 0 && payload != nullptr)
+        crc = crc32c(payload, rec.payload_size, crc);
+    return crc;
+}
+
+/** The v2 record checksum, kept only to verify legacy logs: FNV-1a
+ *  over the same bytes in the same order. */
+std::uint32_t
+recordChecksumV2(const RecordHeader &rec, const void *payload)
+{
+    std::uint32_t hash = 2166136261u;
+    auto mix = [&hash](const void *data, std::size_t len) {
+        const auto *bytes = static_cast<const std::uint8_t *>(data);
+        for (std::size_t i = 0; i < len; ++i) {
+            hash ^= bytes[i];
+            hash *= 16777619u;
+        }
+    };
+    mix(&rec, kRecordCrcOffset);
+    if (rec.payload_size > 0 && payload != nullptr)
+        mix(payload, rec.payload_size);
+    return hash;
+}
+
+} // namespace
 
 void
 appendRecord(std::vector<std::uint8_t> &out, std::uint32_t tuple,
@@ -44,7 +79,8 @@ LogReader::open(const std::string &path)
         close();
         return Status(Errno{EPROTO});
     }
-    if (header.version != 1 && header.version != kLogVersion) {
+    if (header.version != 1 && header.version != 2 &&
+        header.version != kLogVersion) {
         // Unknown version: reject decodably instead of parsing the
         // record bytes with the wrong layout.
         close();
@@ -83,8 +119,11 @@ LogReader::next(LogRecord *out)
         return Next::Truncated;
     }
     if (version_ >= 2) {
-        const std::uint32_t crc = recordChecksum(
-            rec, out->payload.empty() ? nullptr : out->payload.data());
+        const void *payload =
+            out->payload.empty() ? nullptr : out->payload.data();
+        const std::uint32_t crc = version_ == 2
+                                      ? recordChecksumV2(rec, payload)
+                                      : recordChecksum(rec, payload);
         if (crc != rec.record_crc) {
             // A record that fails its checksum ends the valid prefix;
             // everything already yielded stays good.

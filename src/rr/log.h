@@ -8,13 +8,14 @@
  * publishes a persisted stream back into the rings. This header defines
  * the byte format both share.
  *
- * Format v2 (normative layout in docs/RECORD_REPLAY.md) makes the log
- * crash-consistent: every record carries an FNV-1a checksum over its
+ * The log is crash-consistent (normative layout in
+ * docs/RECORD_REPLAY.md): every record carries a checksum over its
  * header and payload, the header version is validated on open, and a
  * torn tail — the recorder was SIGKILLed mid-record, or the disk
  * filled — yields the valid prefix plus a `truncated` flag instead of
- * rejecting the whole log with EPROTO. v1 logs (no checksums) remain
- * readable.
+ * rejecting the whole log with EPROTO. Format v3 checksums with CRC32C
+ * (common/hash.h). v2 logs (the same layout, FNV-1a checksums) and v1
+ * logs (no checksums) remain readable.
  */
 
 #ifndef VARAN_RR_LOG_H
@@ -57,7 +58,7 @@ inline constexpr char kLogMagic[8] = {'V', 'R', 'R', 'L', 'O', 'G', '1',
                                       '\0'};
 
 /** Current log format version written by every recorder. */
-inline constexpr std::uint32_t kLogVersion = 2;
+inline constexpr std::uint32_t kLogVersion = 3;
 
 struct LogHeader {
     char magic[8];
@@ -73,10 +74,11 @@ struct RecordHeaderV1 {
 };
 
 /**
- * v2 record header: the v1 fields plus a per-record checksum.
- * `record_crc` is FNV-1a over the first kRecordCrcOffset header bytes
- * followed by the payload bytes, so a torn or bit-flipped record is
- * detected instead of replayed as garbage.
+ * v2/v3 record header: the v1 fields plus a per-record checksum.
+ * `record_crc` covers the first kRecordCrcOffset header bytes followed
+ * by the payload bytes, so a torn or bit-flipped record is detected
+ * instead of replayed as garbage. v3 computes it with CRC32C, v2 with
+ * FNV-1a.
  */
 struct RecordHeader {
     std::uint32_t tuple;
@@ -91,34 +93,9 @@ inline constexpr std::size_t kRecordCrcOffset =
     sizeof(RecordHeader) - 2 * sizeof(std::uint32_t);
 
 static_assert(sizeof(RecordHeaderV1) == 72, "v1 record layout is frozen");
-static_assert(sizeof(RecordHeader) == 80, "v2 record layout is frozen");
+static_assert(sizeof(RecordHeader) == 80, "v2/v3 record layout is frozen");
 
-/** FNV-1a, the same hash the wire tier uses for frame bodies. The
- *  @p seed parameter chains partial hashes (header, then payload). */
-inline std::uint32_t
-logChecksum(const void *data, std::size_t len,
-            std::uint32_t seed = 2166136261u)
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    std::uint32_t hash = seed;
-    for (std::size_t i = 0; i < len; ++i) {
-        hash ^= bytes[i];
-        hash *= 16777619u;
-    }
-    return hash;
-}
-
-/** The checksum a v2 record must carry: header-before-crc + payload. */
-inline std::uint32_t
-recordChecksum(const RecordHeader &rec, const void *payload)
-{
-    std::uint32_t crc = logChecksum(&rec, kRecordCrcOffset);
-    if (rec.payload_size > 0 && payload != nullptr)
-        crc = logChecksum(payload, rec.payload_size, crc);
-    return crc;
-}
-
-/** Serialize one v2 record (header + checksum + payload) onto @p out. */
+/** Serialize one v3 record (header + checksum + payload) onto @p out. */
 void appendRecord(std::vector<std::uint8_t> &out, std::uint32_t tuple,
                   const ring::Event &event, const void *payload,
                   std::size_t payload_size);
@@ -197,7 +174,7 @@ class LogWriter
 
     VARAN_NO_COPY_NO_MOVE(LogWriter);
 
-    /** Create/truncate @p path and write the v2 header (checked). */
+    /** Create/truncate @p path and write the v3 header (checked). */
     Status open(const std::string &path);
     bool isOpen() const { return fd_ >= 0; }
 

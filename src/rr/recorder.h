@@ -3,7 +3,7 @@
  * The record side of section 5.4, rebuilt as a peer of the wire
  * shipper: LogSink is an artificial follower that drains every tuple
  * ring through tap cursors with the same peekBatch() ship-batch idiom
- * wire::Shipper uses, serializes v2 records while the payloads are
+ * wire::Shipper uses, serializes v3 records while the payloads are
  * still pinned, and sinks them to disk through a bounded in-memory
  * spill buffer so a slow disk degrades like an evicted wire peer —
  * the sink detaches its taps and the log ends at a valid prefix —
@@ -96,7 +96,7 @@ class LogSink
     VARAN_NO_COPY_NO_MOVE(LogSink);
 
     /**
-     * Open the log (v2 header, checked) and claim tap cursors on every
+     * Open the log (v3 header, checked) and claim tap cursors on every
      * tuple ring. Must run before the variants start publishing (use
      * Nvx::start's pre-spawn hook). Any failure — including no free
      * tap slot (EBUSY) — detaches whatever was attached and

@@ -71,6 +71,11 @@ Replayer::publishRecord(const LogRecord &record)
     // Virtualise descriptor transfer: replayed followers replay
     // results only; there is no live leader to duplicate fds from.
     event.flags &= ~static_cast<std::uint32_t>(ring::kFdTransfer);
+    // Before log format v3 the leader hashed write-family buffers with
+    // FNV-1a; a follower re-checks with CRC32C and would read every
+    // such call as divergent, so legacy logs replay without the check.
+    if (reader_.version() < 3)
+        event.flags &= ~static_cast<std::uint32_t>(ring::kDataHash);
     if (payload != 0) {
         event.payload = static_cast<std::uint32_t>(payload);
         event.payload_size =

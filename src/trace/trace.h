@@ -92,7 +92,7 @@ enum class DivergenceAction : std::uint8_t {
  *  the wire (Divergence frame) from remote followers to the leader. */
 struct DivergenceRecord {
     std::uint64_t lamport;     ///< Lamport clock at the divergent event
-    std::uint64_t arg_digest;  ///< FNV-1a over the observed syscall args
+    std::uint64_t arg_digest;  ///< CRC32C over the observed syscall args
     std::uint64_t ns;          ///< monotonic ns on the recording node
     std::uint64_t origin_id;   ///< 0 = local; receiver_id when shipped
     std::uint32_t epoch;       ///< engine epoch when recorded

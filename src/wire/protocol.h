@@ -77,8 +77,8 @@
  *
  * Integers are native-endian (x86-64 on both ends, matching the event
  * layout itself which is memcpy'd); the body is integrity-checked with
- * FNV-1a. Version changes bump kProtocolVersion, and a receiver
- * rejects frames whose version it does not speak.
+ * CRC32C (common/hash.h). Version changes bump kProtocolVersion, and a
+ * receiver rejects frames whose version it does not speak.
  */
 
 #ifndef VARAN_WIRE_PROTOCOL_H
@@ -88,6 +88,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/hash.h"
 #include "core/layout.h"
 #include "core/status.h"
 #include "ring/event.h"
@@ -96,7 +97,9 @@
 namespace varan::wire {
 
 inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
-/** v7: the Status body lost the adaptive fast-path fields (hit count,
+/** v8: every body checksum is CRC32C (common/hash.h) instead of
+ *  FNV-1a; frame layouts are unchanged.
+ *  v7: the Status body lost the adaptive fast-path fields (hit count,
  *  top-k width, hot table) along with the fast path itself.
  *  v6: the quorum control plane — Lease/Vote/Fence frames carry
  *  lease-based leader election between receiver nodes, so promotion
@@ -119,7 +122,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
  *  v2: the Status frame became the status RPC (empty body = request,
  *  core::StatusReport body = reply); in v1 it carried a HelloBody and
  *  nothing ever sent it. */
-inline constexpr std::uint16_t kProtocolVersion = 7;
+inline constexpr std::uint16_t kProtocolVersion = 8;
 
 /** Upper bound on a frame body; anything larger is corruption. */
 inline constexpr std::uint32_t kMaxBodyBytes = 16u << 20;
@@ -185,7 +188,7 @@ struct FrameHeader {
     std::uint32_t tuple;     ///< Events: tuple id; otherwise 0
     std::uint64_t seq;       ///< Events: ring sequence of first event
     std::uint32_t count;     ///< Events: events; Credit: entries
-    std::uint32_t body_crc;  ///< FNV-1a over the body bytes
+    std::uint32_t body_crc;  ///< CRC32C over the body bytes
 };
 
 static_assert(sizeof(FrameHeader) == 32, "header layout is part of the protocol");
@@ -234,21 +237,15 @@ struct ErrorBody {
     std::uint64_t detail;            ///< code-specific (e.g. cursor floor)
 };
 
-/** FNV-1a over arbitrary bytes — the frame body checksum. */
+/** CRC32C over arbitrary bytes — the frame body checksum. */
 inline std::uint32_t
 bodyChecksum(const void *data, std::size_t len)
 {
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t h = 2166136261u;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 16777619u;
-    }
-    return h;
+    return crc32c(data, len);
 }
 
 /** Fill the fixed fields of a header. The checksum starts as the
- *  empty-body FNV basis, correct as-is for body-less frames; senders
+ *  empty-body CRC32C (0), correct as-is for body-less frames; senders
  *  with a body overwrite it with bodyChecksum(). */
 inline FrameHeader
 makeHeader(FrameType type, std::uint32_t body_len)

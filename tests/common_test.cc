@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: fd wrappers, fd passing, futex,
- * clocks, results and logging levels.
+ * clocks, the CRC32C checksum, results and logging levels.
  */
 
 #include <fcntl.h>
@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,9 @@
 #include "common/fd.h"
 #include "common/fdpass.h"
 #include "common/futex.h"
+#include "common/hash.h"
 #include "common/result.h"
+#include "wire/protocol.h"
 
 namespace varan {
 namespace {
@@ -207,6 +210,60 @@ TEST(ClockTest, RdtscAdvances)
         sink += static_cast<unsigned>(i);
     asm volatile("" :: "r"(sink));
     EXPECT_GT(rdtsc(), a);
+}
+
+TEST(Crc32cTest, MatchesTheRfc3720CheckValue)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(crc32c(check, 9), 0xE3069283u);
+    EXPECT_EQ(detail::crc32cPortable(check, 9), 0xE3069283u);
+    EXPECT_EQ(crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32cTest, HardwareAndSoftwarePathsAgree)
+{
+    // Every length across the 8-byte word loop and its byte tail, at
+    // every start alignment: both paths must give identical bits.
+    std::vector<std::uint8_t> buf(1100 + 8);
+    std::uint32_t x = 0x9e3779b9u;
+    for (auto &b : buf) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<std::uint8_t>(x >> 24);
+    }
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (std::size_t len = 0; len <= 1100; ++len) {
+            const std::uint8_t *p = buf.data() + align;
+            ASSERT_EQ(crc32c(p, len), detail::crc32cPortable(p, len))
+                << "len " << len << " align " << align;
+            ASSERT_EQ(crc32c(p, len, 0x12345678u),
+                      detail::crc32cPortable(p, len, 0x12345678u))
+                << "seeded, len " << len << " align " << align;
+        }
+    }
+}
+
+TEST(Crc32cTest, SeedChainsPartialSums)
+{
+    const char data[] = "the quick brown fox jumps over the lazy dog";
+    const std::size_t len = sizeof(data) - 1;
+    const std::uint32_t whole = crc32c(data, len);
+    for (std::size_t split = 0; split <= len; ++split) {
+        EXPECT_EQ(crc32c(data + split, len - split, crc32c(data, split)),
+                  whole)
+            << "split " << split;
+        EXPECT_EQ(detail::crc32cPortable(
+                      data + split, len - split,
+                      detail::crc32cPortable(data, split)),
+                  whole)
+            << "split " << split;
+    }
+}
+
+TEST(Crc32cTest, EmptyWireBodyChecksumsToZero)
+{
+    // makeHeader() stamps body-less frames with this value.
+    EXPECT_EQ(wire::bodyChecksum(nullptr, 0), 0u);
+    EXPECT_EQ(wire::makeHeader(wire::FrameType::Bye, 0).body_crc, 0u);
 }
 
 TEST(ResultTest, ValueRoundTrip)

@@ -4,12 +4,14 @@
  * the event stream losslessly; the replayer drives fresh followers
  * from the log; the in-band (Scribe-like) baseline logs synchronously.
  *
- * The crash-consistency suite exercises log format v2: a recording
+ * The crash-consistency suite exercises log format v3: a recording
  * node whose leader link is severed mid-stream (a scripted FaultLink
  * cut — reproducible, unlike the SIGKILL race it replaced) leaves a
  * log whose valid prefix replays in full, write failures surface
  * through finish() instead of silently corrupting the log, and
  * version/checksum validation rejects garbage with decodable errors.
+ * Legacy v2 logs (FNV-1a checksums), built byte by byte here, still
+ * open, verify and replay.
  */
 
 #include <cstdio>
@@ -24,10 +26,12 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/hash.h"
 #include "core/nvx.h"
 #include "harness/faultlink.h"
 #include "netio/socketio.h"
@@ -70,6 +74,80 @@ getpidEvent(std::uint64_t timestamp)
     event.result = 4242;
     return event;
 }
+
+/** FNV-1a as log format v2 used it, spelled out here so the legacy
+ *  format is pinned independently of the reader. */
+std::uint32_t
+fnv1a(const void *data, std::size_t len, std::uint32_t hash = 2166136261u)
+{
+    const auto *bytes = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+        hash ^= bytes[i];
+        hash *= 16777619u;
+    }
+    return hash;
+}
+
+/** Write @p records as a v2 log: the v3 byte layout, with each
+ *  record_crc an FNV-1a over the header bytes before it, then the
+ *  payload. */
+void
+writeV2Log(const std::string &path, const std::vector<LogRecord> &records)
+{
+    std::vector<std::uint8_t> bytes;
+    auto put = [&bytes](const void *data, std::size_t len) {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        bytes.insert(bytes.end(), p, p + len);
+    };
+    LogHeader header = {};
+    std::memcpy(header.magic, kLogMagic, sizeof(header.magic));
+    header.version = 2;
+    put(&header, sizeof(header));
+    for (const LogRecord &record : records) {
+        RecordHeader rec = {};
+        rec.tuple = record.tuple;
+        rec.payload_size = static_cast<std::uint32_t>(record.payload.size());
+        rec.event = record.event;
+        rec.record_crc = fnv1a(record.payload.data(), record.payload.size(),
+                               fnv1a(&rec, kRecordCrcOffset));
+        put(&rec, sizeof(rec));
+        put(record.payload.data(), record.payload.size());
+    }
+    FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    ASSERT_EQ(std::fclose(f), 0);
+}
+
+/** Flip one bit of the byte at @p offset in the file at @p path. */
+void
+flipBit(const std::string &path, off_t offset)
+{
+    int fd = ::open(path.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    std::uint8_t byte = 0;
+    ASSERT_EQ(::pread(fd, &byte, 1, offset), 1);
+    byte ^= 0x08;
+    ASSERT_EQ(::pwrite(fd, &byte, 1, offset), 1);
+    ::close(fd);
+}
+
+/** Three records, each carrying a 16-byte payload. */
+std::vector<LogRecord>
+payloadRecords()
+{
+    std::vector<LogRecord> records(3);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        records[i].event = getpidEvent(i + 1);
+        records[i].payload.assign(16, static_cast<std::uint8_t>('a' + i));
+    }
+    return records;
+}
+
+/** File offset of byte 5 of the second payloadRecords() payload. */
+constexpr off_t kSecondPayloadByte = static_cast<off_t>(
+    sizeof(LogHeader) + sizeof(RecordHeader) + 16 + sizeof(RecordHeader) +
+    5);
 
 TEST(RecorderTest, CapturesEveryEvent)
 {
@@ -421,6 +499,82 @@ TEST(ReplayTest, RecordThenReplayDrivesFollowers)
     ::unlink(path.c_str());
 }
 
+TEST(ReplayTest, LegacyV2LogReplaysInFull)
+{
+    // A log recorded before format v3 carries FNV-1a record checksums
+    // and FNV-1a write-family data hashes. Record a live run, rewrite
+    // it byte by byte in that legacy form, and replay it.
+    std::string path = tempLogPath();
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+
+    auto app = [fds]() -> int {
+        long pid = sys::vgetpid();
+        sys::vwrite(fds[1], "live", 4);
+        long t = 0;
+        sys::vtime(&t);
+        return static_cast<int>((pid ^ t) & 0x3f);
+    };
+
+    int live_status = 0;
+    {
+        core::Nvx nvx(engineConfig());
+        LogSink recorder(nvx.region(), &nvx.layout(), path);
+        ASSERT_TRUE(nvx.start({app}, [&](core::Nvx &) {
+                           ASSERT_TRUE(recorder.attachTaps().isOk());
+                           recorder.startDraining();
+                       })
+                        .isOk());
+        auto results = nvx.wait();
+        ASSERT_TRUE(recorder.finish().ok());
+        live_status = results[0].status;
+        char buf[8] = {};
+        EXPECT_EQ(::read(fds[0], buf, 4), 4);
+    }
+
+    auto live = readLog(path);
+    ASSERT_TRUE(live.ok());
+    std::vector<LogRecord> records = live.value().records;
+    std::size_t hashed = 0;
+    for (LogRecord &record : records) {
+        if (!(record.event.flags & ring::kDataHash))
+            continue;
+        ASSERT_EQ(record.event.payload_size, 4u);
+        ASSERT_EQ(record.event.payload, crc32c("live", 4));
+        record.event.payload = fnv1a("live", 4);
+        ++hashed;
+    }
+    EXPECT_EQ(hashed, 1u);
+    writeV2Log(path, records);
+
+    auto legacy = readLog(path);
+    ASSERT_TRUE(legacy.ok());
+    EXPECT_EQ(legacy.value().version, 2u);
+    EXPECT_FALSE(legacy.value().truncated);
+    ASSERT_EQ(legacy.value().records.size(), records.size());
+
+    {
+        core::EngineConfig config = engineConfig();
+        config.external_leader = true;
+        core::Nvx nvx(config);
+        ASSERT_TRUE(nvx.start({app, app}).isOk());
+        Replayer replayer(nvx.region(), &nvx.layout(), path);
+        auto stats = replayer.replayAll();
+        ASSERT_TRUE(stats.ok());
+        EXPECT_EQ(stats.value().events, records.size());
+        EXPECT_FALSE(stats.value().truncated);
+        auto results = nvx.waitFor(30000000000ULL);
+        for (const auto &r : results) {
+            EXPECT_FALSE(r.crashed);
+            EXPECT_EQ(r.status, live_status);
+        }
+        EXPECT_EQ(nvx.divergencesFatal(), 0u);
+    }
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::unlink(path.c_str());
+}
+
 TEST(ReplayTest, ReplayIntoRestart)
 {
     std::string path = tempLogPath();
@@ -663,6 +817,53 @@ TEST(LogTest, ChecksumFailureTruncates)
     ASSERT_TRUE(log.ok());
     EXPECT_TRUE(log.value().truncated);
     ASSERT_EQ(log.value().records.size(), 2u);
+    ::unlink(path.c_str());
+}
+
+TEST(LogTest, V3PayloadBitFlipCutsAtThatRecord)
+{
+    std::string path = tempLogPath();
+    {
+        LogWriter writer;
+        ASSERT_TRUE(writer.open(path).isOk());
+        for (const LogRecord &record : payloadRecords())
+            ASSERT_TRUE(writer
+                            .append(record.tuple, record.event,
+                                    record.payload.data(),
+                                    record.payload.size())
+                            .isOk());
+        ASSERT_TRUE(writer.close().isOk());
+    }
+    flipBit(path, kSecondPayloadByte);
+
+    auto log = readLog(path);
+    ASSERT_TRUE(log.ok());
+    EXPECT_EQ(log.value().version, 3u);
+    EXPECT_TRUE(log.value().truncated);
+    ASSERT_EQ(log.value().records.size(), 1u);
+    EXPECT_EQ(log.value().records[0].payload, payloadRecords()[0].payload);
+    ::unlink(path.c_str());
+}
+
+TEST(LogTest, V2BitFlipStillCutsAtThatRecord)
+{
+    std::string path = tempLogPath();
+    writeV2Log(path, payloadRecords());
+    {
+        auto log = readLog(path);
+        ASSERT_TRUE(log.ok());
+        EXPECT_EQ(log.value().version, 2u);
+        EXPECT_FALSE(log.value().truncated);
+        ASSERT_EQ(log.value().records.size(), 3u);
+        EXPECT_EQ(log.value().records[2].payload,
+                  payloadRecords()[2].payload);
+    }
+    flipBit(path, kSecondPayloadByte);
+
+    auto log = readLog(path);
+    ASSERT_TRUE(log.ok());
+    EXPECT_TRUE(log.value().truncated);
+    ASSERT_EQ(log.value().records.size(), 1u);
     ::unlink(path.c_str());
 }
 
