@@ -11,6 +11,7 @@
 #define VARAN_COMMON_FUTEX_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 namespace varan {
@@ -32,6 +33,34 @@ enum class FutexResult {
  */
 FutexResult futexWait(const std::atomic<std::uint32_t> *addr,
                       std::uint32_t expected, std::uint64_t timeout_ns);
+
+/** One word of a futexWaitAny() set. */
+struct FutexWord {
+    const std::atomic<std::uint32_t> *addr;
+    std::uint32_t expected;
+};
+
+/** Most words one futexWaitAny() call accepts (the kernel's limit). */
+inline constexpr std::size_t kMaxFutexWords = 128;
+
+/**
+ * Wait until any of @p count words differs from its expected value or
+ * a wake arrives on any of them (futex_waitv, Linux 5.16+): one sleep
+ * over several waitlocks. Where futex_waitv is unavailable this
+ * sleeps on the first word only, so a wake on the others is seen when
+ * @p timeout_ns expires.
+ *
+ * @param timeout_ns relative timeout; 0 means wait forever.
+ */
+FutexResult futexWaitAny(const FutexWord *words, std::size_t count,
+                         std::uint64_t timeout_ns);
+
+/**
+ * Relative futex timeout left until the monotonic @p deadline_ns; 0
+ * (sleep until woken) when there is no deadline. A deadline that has
+ * already passed yields 1 ns, never the 0 that means "forever".
+ */
+std::uint64_t futexTimeoutUntil(std::uint64_t deadline_ns);
 
 /** Wake up to @p count waiters; returns the number actually woken. */
 int futexWake(const std::atomic<std::uint32_t> *addr, int count);

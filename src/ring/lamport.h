@@ -86,12 +86,13 @@ class LamportClock
             }
             state_->waiters.fetch_add(1, std::memory_order_seq_cst);
             std::uint32_t observed =
-                state_->notify.load(std::memory_order_acquire);
+                state_->notify.load(std::memory_order_seq_cst);
             if (state_->value.load(std::memory_order_acquire) == want) {
                 state_->waiters.fetch_sub(1, std::memory_order_release);
                 break;
             }
-            futexWait(&state_->notify, observed, 1000000);
+            futexWait(&state_->notify, observed,
+                      futexTimeoutUntil(deadline));
             state_->waiters.fetch_sub(1, std::memory_order_release);
         }
         return true;
@@ -102,7 +103,8 @@ class LamportClock
     advanceTo(std::uint64_t timestamp)
     {
         state_->value.store(timestamp, std::memory_order_release);
-        state_->notify.fetch_add(1, std::memory_order_release);
+        // seq_cst pairs with awaitTurn's announce-then-re-check.
+        state_->notify.fetch_add(1, std::memory_order_seq_cst);
         if (state_->waiters.load(std::memory_order_seq_cst) > 0)
             futexWake(&state_->notify, kMaxWake);
     }

@@ -26,6 +26,8 @@ deadlineFor(const WaitSpec &wait)
     return wait.timeout_ns == 0 ? 0 : monotonicNs() + wait.timeout_ns;
 }
 
+constexpr std::uint32_t kFullSpinBudget = ~0u;
+
 } // namespace
 
 RingBuffer::RingBuffer(const shmem::Region *region, shmem::Offset off)
@@ -56,6 +58,7 @@ RingBuffer::initialize(const shmem::Region *region, shmem::Offset off,
     for (auto &cur : ctl->cursors) {
         cur.seq.store(0, std::memory_order_relaxed);
         cur.active.store(0, std::memory_order_relaxed);
+        cur.spin_budget.store(kFullSpinBudget, std::memory_order_relaxed);
     }
     return RingBuffer(region, off);
 }
@@ -130,12 +133,12 @@ RingBuffer::awaitSpace(std::uint64_t deadline, const WaitSpec &wait,
             continue;
         }
         std::uint32_t observed =
-            ctl->space_seq.load(std::memory_order_acquire);
+            ctl->space_seq.load(std::memory_order_seq_cst);
         if (seq - gatingSequence(seq) + min_free <= ctl->capacity) {
             ctl->producer_waiting.store(0, std::memory_order_release);
             continue;
         }
-        futexWait(&ctl->space_seq, observed, 1000000); // 1 ms tick
+        futexWait(&ctl->space_seq, observed, futexTimeoutUntil(deadline));
         ctl->producer_waiting.store(0, std::memory_order_release);
     }
 }
@@ -150,7 +153,9 @@ RingBuffer::publish(const Event &event, const WaitSpec &wait)
     const std::uint64_t seq = ctl->head.load(std::memory_order_relaxed);
     slots()[seq & ctl->mask] = event;
     ctl->head.store(seq + 1, std::memory_order_release);
-    ctl->data_seq.fetch_add(1, std::memory_order_release);
+    // seq_cst pairs with the waiter's announce-then-re-check (awaitData):
+    // either it sees this head or we see it announced and wake it.
+    ctl->data_seq.fetch_add(1, std::memory_order_seq_cst);
     if (ctl->consumers_waiting.load(std::memory_order_seq_cst) > 0)
         futexWake(&ctl->data_seq, kMaxConsumers);
     return true;
@@ -201,7 +206,7 @@ RingBuffer::commit(std::span<const Event> events)
                     (n - first) * sizeof(Event));
     ctl->head.store(seq + n, std::memory_order_release);
     ctl->data_seq.fetch_add(static_cast<std::uint32_t>(n),
-                            std::memory_order_release);
+                            std::memory_order_seq_cst);
     if (ctl->consumers_waiting.load(std::memory_order_seq_cst) > 0)
         futexWake(&ctl->data_seq, kMaxConsumers);
 }
@@ -232,6 +237,8 @@ RingBuffer::attachConsumer()
             ctl->cursors[i].seq.store(
                 ctl->head.load(std::memory_order_acquire),
                 std::memory_order_release);
+            ctl->cursors[i].spin_budget.store(kFullSpinBudget,
+                                              std::memory_order_relaxed);
             ctl->cursors[i].active.store(1, std::memory_order_release);
             return static_cast<int>(i);
         }
@@ -251,6 +258,8 @@ RingBuffer::attachConsumerAt(int id)
         return false;
     ctl->cursors[id].seq.store(ctl->head.load(std::memory_order_acquire),
                                std::memory_order_release);
+    ctl->cursors[id].spin_budget.store(kFullSpinBudget,
+                                       std::memory_order_relaxed);
     ctl->cursors[id].active.store(1, std::memory_order_release);
     return true;
 }
@@ -263,7 +272,7 @@ RingBuffer::detachConsumer(int id)
     ctl->cursors[id].active.store(0, std::memory_order_release);
     ctl->attach_bitmap.fetch_and(~(1u << id), std::memory_order_acq_rel);
     // The producer may be blocked waiting for this consumer's cursor.
-    ctl->space_seq.fetch_add(1, std::memory_order_release);
+    ctl->space_seq.fetch_add(1, std::memory_order_seq_cst);
     futexWake(&ctl->space_seq, 1);
 }
 
@@ -274,29 +283,96 @@ RingBuffer::awaitData(int id, std::uint64_t deadline, const WaitSpec &wait)
     ConsumerCursor &cur = ctl->cursors[id];
     const std::uint64_t c = cur.seq.load(std::memory_order_relaxed);
 
+    std::uint64_t head = ctl->head.load(std::memory_order_acquire);
+    if (head > c)
+        return head - c; // no wait: teaches the spin budget nothing
+
+    // Adaptive spin: a consumer whose waits keep ending in the waitlock
+    // sleep halves its spin each time (down to kMinSpinBudget), so a
+    // follower fed one event per wakeup stops burning a full spin per
+    // event; one wait that the spin does satisfy restores the full spin.
+    const std::uint32_t budget = spinBudget(id, wait);
     std::uint32_t spins = 0;
+    bool slept = false;
     for (;;) {
-        const std::uint64_t head =
-            ctl->head.load(std::memory_order_acquire);
-        if (head > c)
+        head = ctl->head.load(std::memory_order_acquire);
+        if (head > c) {
+            if (!slept && spins > 0 && !wait.busy_only &&
+                budget < wait.spin_iterations) {
+                cur.spin_budget.store(kFullSpinBudget,
+                                      std::memory_order_relaxed);
+            }
             return head - c;
+        }
         if (deadlinePassed(deadline))
             return 0;
-        if (wait.busy_only || spins++ < wait.spin_iterations) {
+        if (wait.busy_only || spins < budget) {
+            ++spins;
             __builtin_ia32_pause();
             continue;
+        }
+        if (!slept) {
+            slept = true;
+            cur.spin_budget.store(std::max(kMinSpinBudget, budget / 2),
+                                  std::memory_order_relaxed);
         }
         // Waitlock path (section 3.3.1): sleep until the leader wakes us.
         ctl->consumers_waiting.fetch_add(1, std::memory_order_seq_cst);
         std::uint32_t observed =
-            ctl->data_seq.load(std::memory_order_acquire);
+            ctl->data_seq.load(std::memory_order_seq_cst);
         if (ctl->head.load(std::memory_order_acquire) > c) {
             ctl->consumers_waiting.fetch_sub(1, std::memory_order_release);
             continue;
         }
-        futexWait(&ctl->data_seq, observed, 1000000); // 1 ms tick
+        futexWait(&ctl->data_seq, observed, futexTimeoutUntil(deadline));
         ctl->consumers_waiting.fetch_sub(1, std::memory_order_release);
     }
+}
+
+std::uint32_t
+RingBuffer::spinBudget(int id, const WaitSpec &wait) const
+{
+    const std::uint32_t learned =
+        control()->cursors[id].spin_budget.load(std::memory_order_relaxed);
+    return std::min(learned, wait.spin_iterations);
+}
+
+std::uint64_t
+RingBuffer::awaitAny(std::span<const RingTap> taps,
+                     const std::atomic<std::uint32_t> *extra,
+                     std::uint32_t extra_seen, std::uint64_t timeout_ns)
+{
+    VARAN_CHECK(taps.size() < kMaxFutexWords);
+    auto readable = [taps] {
+        std::uint64_t total = 0;
+        for (const RingTap &tap : taps)
+            total += tap.ring.lag(tap.id);
+        return total;
+    };
+
+    // Announce first, then read each data word, then re-check: the same
+    // handshake as awaitData, once per ring. A publish either lands
+    // before the re-check (seen) or after the announce (it wakes us).
+    FutexWord words[kMaxFutexWords];
+    std::size_t n = 0;
+    for (const RingTap &tap : taps) {
+        RingControl *ctl = tap.ring.control();
+        ctl->consumers_waiting.fetch_add(1, std::memory_order_seq_cst);
+        words[n++] = {&ctl->data_seq,
+                      ctl->data_seq.load(std::memory_order_seq_cst)};
+    }
+    if (extra != nullptr)
+        words[n++] = {extra, extra_seen};
+    if (n > 0 && readable() == 0 &&
+        (extra == nullptr ||
+         extra->load(std::memory_order_seq_cst) == extra_seen)) {
+        futexWaitAny(words, n, timeout_ns);
+    }
+    for (const RingTap &tap : taps) {
+        tap.ring.control()->consumers_waiting.fetch_sub(
+            1, std::memory_order_release);
+    }
+    return readable();
 }
 
 void
@@ -304,7 +380,7 @@ RingBuffer::releaseSlots(ConsumerCursor &cur, std::uint64_t next_seq)
 {
     RingControl *ctl = control();
     cur.seq.store(next_seq, std::memory_order_release);
-    ctl->space_seq.fetch_add(1, std::memory_order_release);
+    ctl->space_seq.fetch_add(1, std::memory_order_seq_cst);
     if (ctl->producer_waiting.load(std::memory_order_seq_cst))
         futexWake(&ctl->space_seq, 1);
 }

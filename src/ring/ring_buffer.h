@@ -31,10 +31,16 @@ namespace varan::ring {
 /** Upper bound on simultaneously attached consumers (followers). */
 inline constexpr std::uint32_t kMaxConsumers = 15;
 
+/** Floor of a consumer's adaptive spin budget (pause iterations). */
+inline constexpr std::uint32_t kMinSpinBudget = 16;
+
 /** Per-consumer cursor, cache-line isolated to avoid false sharing. */
 struct alignas(kCacheLineSize) ConsumerCursor {
     std::atomic<std::uint64_t> seq;   ///< next sequence this consumer reads
     std::atomic<std::uint32_t> active;
+    /** Cap on the spin before the waitlock sleep, learned per consumer
+     *  (see RingBuffer::awaitData); ~0u = the WaitSpec's full spin. */
+    std::atomic<std::uint32_t> spin_budget;
 };
 
 /** Shared control block; events follow immediately after. */
@@ -51,6 +57,8 @@ struct RingControl {
 
     ConsumerCursor cursors[kMaxConsumers];
 };
+
+struct RingTap;
 
 /**
  * Value-type handle over a ring living in a shared Region.
@@ -185,6 +193,24 @@ class RingBuffer
     /** Events published but not yet consumed by slot @p id. */
     std::uint64_t lag(int id) const;
 
+    /** Pause iterations slot @p id spins before sleeping under
+     *  @p wait: its learned budget, capped by wait.spin_iterations. */
+    std::uint32_t spinBudget(int id, const WaitSpec &wait) const;
+
+    /**
+     * Sleep, without spinning, until any of @p taps has an event for
+     * its slot, @p extra (when non-null) no longer holds @p extra_seen,
+     * or @p timeout_ns (0 = no timeout) passes. The caller is announced
+     * in every ring's consumer waitlock while it sleeps, so the
+     * producers' ordinary publish path wakes it, and all the rings
+     * share one futex_waitv sleep.
+     * @return events readable across all taps on return.
+     */
+    static std::uint64_t
+    awaitAny(std::span<const RingTap> taps,
+             const std::atomic<std::uint32_t> *extra,
+             std::uint32_t extra_seen, std::uint64_t timeout_ns);
+
     /** True if the slot is attached and gating the producer. */
     bool consumerActive(int id) const;
 
@@ -212,6 +238,12 @@ class RingBuffer
 
     const shmem::Region *region_ = nullptr;
     shmem::Offset off_ = 0;
+};
+
+/** One consumer slot of one ring, for RingBuffer::awaitAny(). */
+struct RingTap {
+    RingBuffer ring;
+    int id = -1;
 };
 
 /**

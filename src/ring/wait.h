@@ -6,7 +6,9 @@
  * futex-based "waitlock" around blocking system calls (section 3.3.1).
  * WaitSpec captures that policy: spin for a bounded number of
  * iterations, then sleep on a futex, with an optional overall deadline
- * so that nothing in VARAN can hang forever.
+ * so that nothing in VARAN can hang forever. A ring consumer spins for
+ * a learned share of the bound (RingBuffer::awaitData): waits that end
+ * in the sleep shrink its spin, a wait the spin satisfies restores it.
  */
 
 #ifndef VARAN_RING_WAIT_H
@@ -17,7 +19,7 @@
 namespace varan::ring {
 
 struct WaitSpec {
-    /** Busy-poll iterations before sleeping. 0 = sleep immediately. */
+    /** Most busy-poll iterations before sleeping. 0 = sleep at once. */
     std::uint32_t spin_iterations = 2048;
     /** Overall deadline in ns; 0 = wait forever. */
     std::uint64_t timeout_ns = 0;

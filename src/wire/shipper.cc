@@ -10,6 +10,7 @@
 
 #include "common/clock.h"
 #include "common/fd.h"
+#include "common/futex.h"
 #include "common/logging.h"
 #include "wire/io.h"
 
@@ -73,7 +74,7 @@ Shipper::liveRetainLimit() const
 
 Shipper::~Shipper()
 {
-    stopping_.store(true, std::memory_order_release);
+    stopPump();
     if (thread_.joinable())
         thread_.join();
     for (std::uint32_t t = 0; t < core::kMaxTuples; ++t) {
@@ -682,6 +683,7 @@ Shipper::drainTuple(std::uint32_t tuple)
     const std::uint64_t unacked = ship.next_seq - fastestAcked(tuple);
     if (unacked >= credit_window) {
         ++stats_.credit_stalls;
+        blocked_ = true;
         if (trace::enabled(cb->trace) && ship.stall_since_ns == 0)
             ship.stall_since_ns = monotonicNs();
         return 0;
@@ -769,11 +771,13 @@ Shipper::pumpOnce()
     core::ControlBlock *cb = layout_->controlBlock(region_);
     std::uint32_t tuples = cb->num_tuples.load(std::memory_order_acquire);
     std::size_t drained = 0;
+    blocked_ = false; // drainTuple() sets it when a window gates a ring
     for (std::uint32_t t = 0; t < tuples && t < core::kMaxTuples; ++t)
         drained += drainTuple(t);
     fanOut();
     evictStragglers();
     maybePushStatus();
+    blocked_ = blocked_ || unsentLocked();
     return drained;
 }
 
@@ -823,11 +827,17 @@ Shipper::ringBacklog()
 bool
 Shipper::unsentBacklog()
 {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return unsentLocked();
+}
+
+bool
+Shipper::unsentLocked() const
+{
     // Any live peer with bytes parked in its outbox, or buffered
     // frames its send cursor has not covered yet? The shutdown tail
     // counts as delivered only once it reached the kernel for every
     // peer that is still reachable.
-    std::lock_guard<std::mutex> guard(mutex_);
     for (const auto &peer : peers_) {
         if (!peer->link_up)
             continue;
@@ -872,20 +882,65 @@ Shipper::drainRemaining()
 }
 
 void
+Shipper::waitForWork()
+{
+    // Read the wake word before the stop flag: a stopPump() after this
+    // check bumps the word past wake_seen and the sleep returns at once.
+    const std::uint32_t wake_seen = wake_.load(std::memory_order_seq_cst);
+    if (stopping_.load(std::memory_order_seq_cst))
+        return;
+    ring::RingTap taps[core::kMaxTuples];
+    std::size_t n = 0;
+    bool blocked = false;
+    {
+        std::lock_guard<std::mutex> guard(mutex_);
+        blocked = blocked_;
+        for (std::uint32_t t = 0; t < core::kMaxTuples; ++t) {
+            if (tuples_[t].tap_slot >= 0) {
+                taps[n++] = {layout_->tupleRing(region_, t),
+                             tuples_[t].tap_slot};
+            }
+        }
+    }
+    // None of these sleeps holds mutex_: the pump re-locks the moment
+    // it wakes, so a stats() or handshake caller waiting on a lock held
+    // across the wait could starve for seconds on a busy machine.
+    if (blocked) {
+        // Only a peer can unblock this backlog (credits, socket space).
+        // A publish is not a reason to wake: it could not ship either.
+        loop_.waitReady(options_.tick_ms);
+        return;
+    }
+    const std::uint64_t ready = ring::RingBuffer::awaitAny(
+        {taps, n}, &wake_, wake_seen,
+        static_cast<std::uint64_t>(options_.tick_ms) * 1000000ULL);
+    if (ready == 0 || ready >= liveShipBatch())
+        return;
+    // Relaxed batching with a bounded staleness cap (the leader-side
+    // coalescer's window): let a short run grow into one frame. This
+    // sleep is on the shipper's own word, not announced in the rings,
+    // so the publishes it waits for do not each wake us.
+    futexWait(&wake_, wake_seen,
+              core::liveKnob(*tuning_, core::Knob::CoalesceWindowNs));
+}
+
+void
 Shipper::pumpLoop()
 {
     while (!stopping_.load(std::memory_order_acquire)) {
-        if (pumpOnce() == 0) {
-            // Idle: wait for peer input or the next tick, then let
-            // pumpOnce() handle it. Not under mutex_: this thread
-            // re-locks the moment it unlocks, so a stats() or
-            // handshake caller waiting on a lock held across the wait
-            // could starve for seconds on a busy machine.
-            loop_.waitReady(options_.tick_ms);
-        }
+        if (pumpOnce() == 0)
+            waitForWork();
     }
     // Final sweep: ship whatever the leader published before stop.
     drainRemaining();
+}
+
+void
+Shipper::stopPump()
+{
+    stopping_.store(true, std::memory_order_seq_cst);
+    wake_.fetch_add(1, std::memory_order_seq_cst);
+    futexWake(&wake_, 1);
 }
 
 void
@@ -898,7 +953,7 @@ Shipper::start()
 Status
 Shipper::finish()
 {
-    stopping_.store(true, std::memory_order_release);
+    stopPump();
     if (thread_.joinable())
         thread_.join();
     drainRemaining();

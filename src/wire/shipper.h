@@ -12,6 +12,11 @@
  * through a netio::EventLoop that also delivers each peer's Credit
  * frames.
  *
+ * Shipping is publish-driven: an idle pump sleeps on every tap ring's
+ * waitlock at once (futex_waitv), so the leader's commit wakes it; a
+ * short run then lingers for at most the live CoalesceWindowNs knob
+ * to fill a frame (see waitForWork()).
+ *
  * Fan-out bookkeeping is a per-peer session table keyed by the
  * receiver's stable identity (HelloAck::receiver_id): each session
  * carries its own credit window, send cursor and non-blocking outbox,
@@ -94,7 +99,12 @@ class Shipper
          *  must park its remainder whole to preserve framing, so peak
          *  usage is the cap plus one frame. */
         std::size_t outbox_limit = 4u << 20;
-        /** Pump tick while idle (ms). */
+        /** Idle peer-input bound (ms). An idle pump sleeps on the tap
+         *  rings' waitlock, so a publish wakes it at once; peer input
+         *  (credits, status requests) is picked up at the latest this
+         *  long after it arrives. A pump whose backlog cannot ship
+         *  (credit window closed, outbox full) waits on peer input
+         *  instead, re-trying at least this often. */
         int tick_ms = 20;
         /** Unsolicited Status frame broadcast interval (ns); 0 = off.
          *  Every live peer receives the same coordinator snapshot the
@@ -171,6 +181,20 @@ class Shipper
      *  out what fits to every open peer window. @return events drained
      *  this pass. */
     std::size_t pumpOnce();
+
+    /**
+     * The pump thread's idle step, after a pumpOnce() that drained
+     * nothing. When that pass left backlog only a peer can unblock (a
+     * credit window closed, frames held back by a peer's window or
+     * parked in its outbox), wait up to tick_ms for peer input.
+     * Otherwise sleep on every tap ring at once until a publish (or
+     * tick_ms, for peer input); if fewer than a ship batch of events
+     * are then ready, linger for at most the live CoalesceWindowNs
+     * knob so they ship as one frame. The linger is not announced in
+     * the rings' waitlock: publishes during it cost the leader no
+     * wake. finish() cuts either sleep short.
+     */
+    void waitForWork();
 
     /** True while at least one peer link is usable. */
     bool linkUp() const { return link_up_.load(std::memory_order_acquire); }
@@ -263,10 +287,13 @@ class Shipper
     bool ringBacklog();
     /** Any live peer with drained frames not yet on the wire? */
     bool unsentBacklog();
+    bool unsentLocked() const; ///< unsentBacklog() under mutex_
     /** Ship all remaining ring events, waiting (bounded) for credits
      *  when the window closes — the shutdown tail must not truncate. */
     void drainRemaining();
     void pumpLoop();
+    /** Ask the pump to stop and wake it from waitForWork(). */
+    void stopPump();
     Status sendHello(int socket_fd);
     void dropPeerLink(PeerSession &peer);
     void refreshLinkUp();
@@ -279,6 +306,9 @@ class Shipper
     std::uint64_t last_status_push_ns_ = 0;
     std::atomic<bool> link_up_{false};
     std::atomic<bool> stopping_{false};
+    /** Bumped by stopPump(): waitForWork() sleeps on it beside the
+     *  tap rings, so a stop request ends the sleep at once. */
+    std::atomic<std::uint32_t> wake_{0};
     std::thread thread_;
     netio::EventLoop loop_;
 
@@ -286,6 +316,11 @@ class Shipper
     std::vector<std::unique_ptr<PeerSession>> peers_;
     std::deque<PendingFrame> unacked_;
     ErrorBody last_error_ = {};
+    /** The last pumpOnce() left backlog that cannot ship until a peer
+     *  credits or drains its socket: a ring gated by the credit window,
+     *  or drained frames a peer's window or outbox holds back (see
+     *  waitForWork()). */
+    bool blocked_ = false;
     mutable std::mutex mutex_; ///< guards tuples_/peers_/unacked_/stats_
     Stats stats_;
 };

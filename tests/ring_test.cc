@@ -5,6 +5,8 @@
  * the Lamport clock gate and the legacy event-pump baseline.
  */
 
+#include <algorithm>
+#include <atomic>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -333,6 +335,168 @@ TEST_F(RingTest, ConsumeTimesOutOnSilence)
     EXPECT_GE(monotonicNs() - t0, 15000000ULL);
 }
 
+// --- adaptive spin budget + deadline-free waitlock sleeps ---
+
+/** Publish @p event once the consumer has announced itself asleep, so
+ *  the consumer's wait is one that had to enter the waitlock. */
+void
+publishOnceAsleep(RingBuffer ring, const Event &event)
+{
+    const std::uint64_t deadline = monotonicNs() + 5000000000ULL;
+    while (ring.consumersWaiting() == 0 && monotonicNs() < deadline)
+        std::this_thread::yield();
+    ring.publish(event);
+}
+
+TEST_F(RingTest, SpinBudgetHalvesToFloorAfterRepeatedSleeps)
+{
+    init(8);
+    int id = ring_.attachConsumer();
+    WaitSpec w = WaitSpec::withTimeout(5000000000ULL);
+    EXPECT_EQ(ring_.spinBudget(id, w), w.spin_iterations);
+
+    std::uint32_t expected = w.spin_iterations;
+    for (std::uint64_t round = 1; round <= 10; ++round) {
+        std::thread producer(publishOnceAsleep, ring_,
+                             makeEvent(round, 0, 0));
+        Event out = {};
+        ASSERT_TRUE(ring_.consume(id, &out, w));
+        producer.join();
+        EXPECT_EQ(out.timestamp, round);
+        expected = std::max(kMinSpinBudget, expected / 2);
+        EXPECT_EQ(ring_.spinBudget(id, w), expected) << "round " << round;
+    }
+    EXPECT_EQ(ring_.spinBudget(id, w), kMinSpinBudget);
+    // The budget never exceeds what the caller's WaitSpec allows.
+    WaitSpec short_spin = w;
+    short_spin.spin_iterations = 4;
+    EXPECT_EQ(ring_.spinBudget(id, short_spin), 4u);
+}
+
+TEST_F(RingTest, ImmediatelySatisfiedWaitLeavesSpinBudget)
+{
+    init(8);
+    int id = ring_.attachConsumer();
+    WaitSpec w = WaitSpec::withTimeout(5000000000ULL);
+    for (std::uint64_t round = 1; round <= 8; ++round) {
+        std::thread producer(publishOnceAsleep, ring_,
+                             makeEvent(round, 0, 0));
+        Event out = {};
+        ASSERT_TRUE(ring_.consume(id, &out, w));
+        producer.join();
+    }
+    ASSERT_EQ(ring_.spinBudget(id, w), kMinSpinBudget);
+
+    // Events already waiting: the wait never spins, so it says nothing
+    // about whether spinning pays and must not reset the budget.
+    for (std::uint64_t i = 0; i < 4; ++i)
+        ASSERT_TRUE(ring_.publish(makeEvent(100 + i, 0, 0)));
+    for (int i = 0; i < 4; ++i) {
+        Event out = {};
+        ASSERT_TRUE(ring_.consume(id, &out, w));
+        EXPECT_EQ(ring_.spinBudget(id, w), kMinSpinBudget);
+    }
+}
+
+TEST_F(RingTest, SpinSatisfiedWaitRestoresFullSpinBudget)
+{
+    init(64);
+    int id = ring_.attachConsumer();
+    WaitSpec w = WaitSpec::withTimeout(5000000000ULL);
+    for (std::uint64_t round = 1; round <= 8; ++round) {
+        std::thread producer(publishOnceAsleep, ring_,
+                             makeEvent(round, 0, 0));
+        Event out = {};
+        ASSERT_TRUE(ring_.consume(id, &out, w));
+        producer.join();
+    }
+    ASSERT_EQ(ring_.spinBudget(id, w), kMinSpinBudget);
+
+    // The producer publishes a couple of pauses after the consumer has
+    // caught up, i.e. while the consumer spins on an empty ring: an
+    // event that arrives within the short spin. One such wait restores
+    // the full spin.
+    std::atomic<bool> stop{false};
+    std::thread producer([&] {
+        for (std::uint64_t ts = 1000; !stop.load(); ++ts) {
+            while (ring_.lag(id) > 0 && !stop.load())
+                __builtin_ia32_pause();
+            for (int i = 0; i < 2; ++i)
+                __builtin_ia32_pause();
+            ring_.publish(makeEvent(ts, 0, 0),
+                          WaitSpec::withTimeout(1000000));
+        }
+    });
+    bool restored = false;
+    const std::uint64_t deadline = monotonicNs() + 10000000000ULL;
+    while (!restored && monotonicNs() < deadline) {
+        Event out = {};
+        ASSERT_TRUE(ring_.consume(id, &out, w));
+        restored = ring_.spinBudget(id, w) == w.spin_iterations;
+    }
+    stop.store(true);
+    producer.join();
+    EXPECT_TRUE(restored);
+}
+
+TEST_F(RingTest, SleepingConsumerWithoutDeadlineWokenByPublish)
+{
+    init(8);
+    int id = ring_.attachConsumer();
+    WaitSpec forever; // no deadline: sleeps until a publish wakes it
+    forever.spin_iterations = 0;
+    std::atomic<bool> got{false};
+    std::thread consumer([&] {
+        Event out = {};
+        EXPECT_TRUE(ring_.consume(id, &out, forever));
+        EXPECT_EQ(out.timestamp, 7u);
+        got.store(true);
+    });
+    std::uint64_t deadline = monotonicNs() + 5000000000ULL;
+    while (ring_.consumersWaiting() == 0 && monotonicNs() < deadline)
+        std::this_thread::yield();
+    ASSERT_EQ(ring_.consumersWaiting(), 1u);
+    sleepNs(5000000); // several times the old 1 ms re-arm: still asleep
+    EXPECT_FALSE(got.load());
+
+    const std::uint64_t t0 = monotonicNs();
+    ASSERT_TRUE(ring_.publish(makeEvent(7, 0, 0)));
+    deadline = t0 + 5000000000ULL;
+    while (!got.load() && monotonicNs() < deadline)
+        std::this_thread::yield();
+    EXPECT_TRUE(got.load()) << "publish did not wake the sleeper";
+    if (!got.load())
+        ring_.publish(makeEvent(7, 0, 0)); // let the thread finish
+    consumer.join();
+    EXPECT_EQ(ring_.consumersWaiting(), 0u);
+}
+
+TEST_F(RingTest, SleepingProducerWithoutDeadlineWokenByConsume)
+{
+    init(4);
+    int id = ring_.attachConsumer();
+    for (std::uint64_t i = 1; i <= 4; ++i)
+        ASSERT_TRUE(ring_.publish(makeEvent(i, 0, 0)));
+    WaitSpec forever;
+    forever.spin_iterations = 0;
+    std::atomic<bool> published{false};
+    std::thread producer([&] {
+        EXPECT_TRUE(ring_.publish(makeEvent(5, 0, 0), forever));
+        published.store(true);
+    });
+    sleepNs(5000000); // ring full: the producer sleeps
+    EXPECT_FALSE(published.load());
+    Event out = {};
+    ASSERT_TRUE(ring_.poll(id, &out));
+    const std::uint64_t deadline = monotonicNs() + 5000000000ULL;
+    while (!published.load() && monotonicNs() < deadline)
+        std::this_thread::yield();
+    EXPECT_TRUE(published.load()) << "consume did not wake the producer";
+    if (!published.load())
+        ring_.detachConsumer(id); // let the thread finish
+    producer.join();
+}
+
 TEST_F(RingTest, CrossProcessStreamIsLossless)
 {
     init(64);
@@ -496,6 +660,27 @@ TEST_F(LamportTest, AwaitTurnTimesOutWhenBlocked)
     WaitSpec w = WaitSpec::withTimeout(20000000); // 20 ms
     w.spin_iterations = 8;
     EXPECT_FALSE(clock_.awaitTurn(5, w)); // turns 1-4 never happen
+}
+
+TEST_F(LamportTest, SleepingWaiterWithoutDeadlineWokenByAdvance)
+{
+    WaitSpec forever; // no deadline: sleeps until advanceTo() wakes it
+    forever.spin_iterations = 0;
+    std::atomic<bool> turn{false};
+    std::thread waiter([&] {
+        EXPECT_TRUE(clock_.awaitTurn(2, forever));
+        turn.store(true);
+    });
+    sleepNs(5000000);
+    EXPECT_FALSE(turn.load());
+    clock_.advanceTo(1);
+    const std::uint64_t deadline = monotonicNs() + 5000000000ULL;
+    while (!turn.load() && monotonicNs() < deadline)
+        std::this_thread::yield();
+    EXPECT_TRUE(turn.load()) << "advanceTo did not wake the waiter";
+    if (!turn.load())
+        clock_.advanceTo(1);
+    waiter.join();
 }
 
 // --- SPSC queue + event pump (legacy design, ablation baseline) ---

@@ -15,6 +15,7 @@
  * rather than a SIGKILL/reconnect race).
  */
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <sys/socket.h>
@@ -824,6 +825,211 @@ TEST(WireFanOutTest, StalledPeerDoesNotGateTheOther)
     ::close(sva[1]);
     ::close(svb[0]);
     ::close(svb[1]);
+}
+
+// --- publish-driven pump wake -------------------------------------------
+
+/** A leader, a remote node and a handshaken shipper/receiver pair over
+ *  a socketpair. */
+struct WakePair {
+    FakeLeader leader;
+    FakeRemote remote;
+    int sv[2] = {-1, -1};
+    std::unique_ptr<Shipper> shipper;
+    std::unique_ptr<Receiver> receiver;
+
+    explicit WakePair(Shipper::Options options)
+    {
+        VARAN_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
+        shipper = std::make_unique<Shipper>(&leader.region, &leader.layout,
+                                            options);
+        VARAN_CHECK(shipper->attachTaps().isOk());
+        receiver = std::make_unique<Receiver>(&remote.region, &remote.layout);
+        std::thread adopting(
+            [this] { VARAN_CHECK(receiver->adopt(sv[1]).isOk()); });
+        VARAN_CHECK(shipper->handshake(sv[0]).isOk());
+        adopting.join();
+    }
+
+    ~WakePair()
+    {
+        ::close(sv[0]);
+        ::close(sv[1]);
+    }
+
+    ring::RingBuffer
+    leaderRing()
+    {
+        return leader.layout.tupleRing(&leader.region, 0);
+    }
+
+    /** Wait until the idle pump sleeps announced in the tap's waitlock
+     *  (FakeLeader has no followers: the tap is the ring's only
+     *  consumer). */
+    bool
+    awaitPumpAsleep()
+    {
+        const std::uint64_t deadline = monotonicNs() + 5000000000ULL;
+        while (leaderRing().consumersWaiting() == 0) {
+            if (monotonicNs() > deadline)
+                return false;
+            std::this_thread::yield();
+        }
+        return true;
+    }
+
+    /** Poll the remote ring until @p want events arrived in total;
+     *  @return the arrival time (0 on a 5 s timeout). */
+    std::uint64_t
+    awaitRemote(std::vector<ring::Event> &got, std::size_t want)
+    {
+        const std::uint64_t deadline = monotonicNs() + 5000000000ULL;
+        for (;;) {
+            for (const ring::Event &event : remote.drain(0))
+                got.push_back(event);
+            if (got.size() >= want)
+                return monotonicNs();
+            if (monotonicNs() > deadline)
+                return 0;
+            std::this_thread::yield();
+        }
+    }
+};
+
+TEST(WireWakeTest, IdleShipperDeliversAPublishWellUnderTheTick)
+{
+    // The pump sleeps on the tap ring's waitlock: a publish wakes it,
+    // the tick only bounds peer-input polling.
+    Shipper::Options options;
+    options.tick_ms = 200;
+    WakePair pair(options);
+    pair.receiver->start();
+    pair.shipper->start();
+
+    std::vector<std::uint64_t> latencies;
+    std::vector<ring::Event> got;
+    for (std::uint64_t i = 1; i <= 20; ++i) {
+        ASSERT_TRUE(pair.awaitPumpAsleep());
+        const std::uint64_t t0 = monotonicNs();
+        pair.leader.publish(0, syscallEvent(i, 39, 0));
+        const std::uint64_t arrived = pair.awaitRemote(got, i);
+        ASSERT_NE(arrived, 0u) << "event " << i << " never arrived";
+        latencies.push_back(arrived - t0);
+    }
+    std::sort(latencies.begin(), latencies.end());
+    const std::uint64_t median = latencies[latencies.size() / 2];
+    EXPECT_LT(median, 20000000u) << "median " << median << " ns";
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].timestamp, i + 1);
+
+    ASSERT_TRUE(pair.shipper->finish().isOk());
+    ASSERT_TRUE(pair.receiver->finish().isOk());
+}
+
+TEST(WireWakeTest, FullBatchShipsAtOnceAndAShortRunLingersUnannounced)
+{
+    Shipper::Options options;
+    options.ship_batch = 8;
+    options.tick_ms = 200;
+    WakePair pair(options);
+    constexpr std::uint64_t kWindowNs = 100000000; // the knob's ceiling
+    core::TuningHandle(&pair.leader.layout.controlBlock(&pair.leader.region)
+                            ->tuning)
+        .set(core::Knob::CoalesceWindowNs, kWindowNs);
+    pair.receiver->start();
+    pair.shipper->start();
+
+    // A whole ship batch in one commit ships without the linger.
+    std::vector<ring::Event> got;
+    ASSERT_TRUE(pair.awaitPumpAsleep());
+    ring::Event burst[8];
+    for (std::uint64_t i = 0; i < 8; ++i)
+        burst[i] = syscallEvent(i + 1, 39, 0);
+    std::uint64_t t0 = monotonicNs();
+    ASSERT_EQ(pair.leaderRing().publishBatch(burst), 8u);
+    std::uint64_t arrived = pair.awaitRemote(got, 8);
+    ASSERT_NE(arrived, 0u);
+    EXPECT_LT(arrived - t0, kWindowNs / 2);
+
+    // A single event wakes the pump, which then lingers for the window
+    // to batch what follows. The linger is not announced in the ring's
+    // waitlock, so the publishes during it cost the leader no wake.
+    ASSERT_TRUE(pair.awaitPumpAsleep());
+    const std::uint64_t frames_before = pair.shipper->stats().frames;
+    t0 = monotonicNs();
+    pair.leader.publish(0, syscallEvent(9, 39, 0));
+    const std::uint64_t deadline = t0 + 5000000000ULL;
+    while (pair.leaderRing().consumersWaiting() != 0 &&
+           monotonicNs() < deadline)
+        std::this_thread::yield();
+    for (std::uint64_t ts = 10; ts <= 12; ++ts) {
+        EXPECT_EQ(pair.leaderRing().consumersWaiting(), 0u);
+        pair.leader.publish(0, syscallEvent(ts, 39, 0));
+    }
+    EXPECT_EQ(pair.shipper->stats().events, 8u) << "shipped mid-linger";
+    arrived = pair.awaitRemote(got, 12);
+    ASSERT_NE(arrived, 0u);
+    EXPECT_GE(arrived - t0, kWindowNs / 2);
+    EXPECT_EQ(pair.shipper->stats().frames - frames_before, 1u)
+        << "the lingered run should ship as one frame";
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].timestamp, i + 1);
+
+    ASSERT_TRUE(pair.shipper->finish().isOk());
+    ASSERT_TRUE(pair.receiver->finish().isOk());
+}
+
+TEST(WireWakeTest, PublishAfterAnEmptyPassIsNotMistakenForCreditStall)
+{
+    // A publish landing between a pass that drained nothing and the
+    // idle step is ordinary work: waitForWork() must return for it at
+    // once, not wait out a tick for credits that nothing needs.
+    Shipper::Options options;
+    options.tick_ms = 2000;
+    WakePair pair(options);
+    ASSERT_EQ(pair.shipper->pumpOnce(), 0u);
+    pair.leader.publish(0, syscallEvent(1, 39, 0));
+    const std::uint64_t t0 = monotonicNs();
+    pair.shipper->waitForWork();
+    EXPECT_LT(monotonicNs() - t0, 1000000000u);
+    EXPECT_EQ(pair.shipper->pumpOnce(), 1u);
+}
+
+TEST(WireWakeTest, CreditGatedBacklogDoesNotSpinThePump)
+{
+    // The receiver does not serve, so no credit comes back: once the
+    // window is full the ring backlog cannot ship, and the pump must
+    // wait for peer input instead of re-polling the rings.
+    Shipper::Options options;
+    options.credit_window = 64;
+    options.ship_batch = 16;
+    WakePair pair(options);
+    std::uint64_t ts = 0;
+    for (int i = 0; i < 64; ++i)
+        pair.leader.publish(0, syscallEvent(++ts, 39, 0));
+    while (pair.shipper->pumpOnce() > 0) {
+    }
+    for (int i = 0; i < 10; ++i)
+        pair.leader.publish(0, syscallEvent(++ts, 39, 0));
+    EXPECT_EQ(pair.shipper->pumpOnce(), 0u);
+    ASSERT_GT(pair.shipper->stats().credit_stalls, 0u);
+
+    pair.shipper->start();
+    const std::uint64_t passes_before = pair.shipper->stats().drain_passes;
+    sleepNs(100000000); // 100 ms: five ticks of 20 ms
+    const std::uint64_t passes =
+        pair.shipper->stats().drain_passes - passes_before;
+    EXPECT_LE(passes, 20u) << "the pump spun on a closed credit window";
+
+    // Let credits flow: the backlog ships and the pump shuts down clean.
+    // The receiver serves on its own thread while this one drains the
+    // 64-slot remote ring, so a frame never waits on a full ring.
+    pair.receiver->start();
+    std::vector<ring::Event> got;
+    ASSERT_NE(pair.awaitRemote(got, ts), 0u);
+    EXPECT_EQ(got.size(), ts);
+    ASSERT_TRUE(pair.shipper->finish().isOk());
+    ASSERT_TRUE(pair.receiver->finish().isOk());
 }
 
 // --- cross-node promotion ----------------------------------------------
