@@ -209,38 +209,6 @@ BENCHMARK(BM_ShardedPoolAllocateRelease)
     ->Threads(4)
     ->UseRealTime();
 
-/**
- * Leader-side publish coalescing: a run of payload-free events shipped
- * through PublishCoalescer (one claim/commit + at most one wake per
- * run) against the same run published one event at a time. Compare
- * items/s against BM_RingPublishConsume / the Arg(1) row.
- */
-void
-BM_RingPublishCoalesced(benchmark::State &state)
-{
-    static RingFixture fixture;
-    const std::size_t run = static_cast<std::size_t>(state.range(0));
-    ring::PublishCoalescer coalescer;
-    coalescer.reset(&fixture.ring, run);
-    ring::Event e = {};
-    e.type = ring::EventType::Syscall;
-    std::vector<ring::Event> out(run);
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < run; ++i)
-            coalescer.add(e);
-        coalescer.flush();
-        std::size_t got = 0;
-        while (got < run) {
-            got += fixture.ring.pollBatch(fixture.consumer,
-                                          out.data() + got, run - got);
-        }
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(run));
-}
-BENCHMARK(BM_RingPublishCoalesced)->Arg(1)->Arg(16)->Arg(64);
-
 void
 BM_BpfListing1(benchmark::State &state)
 {

@@ -162,6 +162,12 @@ runFanOut(std::size_t ship_batch, std::uint64_t total_events,
     wire::Shipper::Options ship_opts;
     ship_opts.ship_batch = ship_batch;
     ship_opts.credit_window = 4096;
+    // With both peers live neither may be evicted: the window gates on
+    // the faster peer, and the slower one is served from the retransmit
+    // buffer however far a busy machine lets it fall behind. An evicted
+    // node A would never receive the events its timed join waits for.
+    if (!stall_peer_b)
+        ship_opts.retain_limit = total_events;
     wire::Shipper shipper(&leader.region, &leader.layout, ship_opts);
     VARAN_CHECK(shipper.attachTaps().isOk());
 
@@ -188,7 +194,9 @@ runFanOut(std::size_t ship_batch, std::uint64_t total_events,
         receiver_b.start(); // a stalled peer handshakes, then nothing
 
     // Follower stand-ins drain the re-materialized rings (node B's
-    // only when it is live — a stalled node consumes nothing).
+    // only when it is live — a stalled node consumes nothing). Each
+    // drains until it holds every event; node B's also stops once its
+    // receiver has finished, in case the shipper evicted it.
     std::atomic<bool> done{false};
     auto drainNode = [&done](Node *node, std::uint64_t until) {
         ring::RingBuffer ring = node->layout.tupleRing(&node->region, 0);
@@ -227,11 +235,13 @@ runFanOut(std::size_t ship_batch, std::uint64_t total_events,
 
     remote_follower.join();
     const std::uint64_t elapsed_ns = monotonicNs() - start_ns;
-    done.store(true, std::memory_order_release);
-    remote_follower_b.join();
+    // Node B's stand-in keeps draining through shutdown: a lagging
+    // node B must never leave receiver_b blocked on a full ring.
     shipper.finish();
     receiver_a.finish();
     receiver_b.finish();
+    done.store(true, std::memory_order_release);
+    remote_follower_b.join();
     ::close(sva[0]);
     ::close(sva[1]);
     ::close(svb[0]);

@@ -2,22 +2,12 @@
  * @file
  * Section 5.6 (extension): adaptive event-path auto-tuning.
  *
- * Two default-vs-hand-tuned-vs-adaptive comparisons, one per layer the
- * AutoTuner retunes:
- *
- *  - Coalesced publish: a producer feeds a tuple ring through a
- *    PublishCoalescer whose run cap is the live CoalesceRun knob.
- *    "default" pins the run at 1 (per-event publish), "hand-tuned"
- *    pins it at 64, "adaptive" seeds it at 1 and lets the AutoTuner
- *    climb. The bench bumps ControlBlock::events_streamed the way the
- *    monitor's event path does, so the sampler sees the real publish
- *    rate.
- *
- *  - Wire shipping: the sec55 socketpair harness (Shipper -> Receiver,
- *    remote follower draining the re-materialized ring) with the ship
- *    batch as the knob. "default" seeds batch 1, "hand-tuned" 64,
- *    "adaptive" seeds 1 and runs the AutoTuner with the shipper's
- *    stats as the wire source.
+ * A default-vs-hand-tuned-vs-adaptive comparison of the knob the
+ * AutoTuner climbs: the sec55 socketpair harness (Shipper -> Receiver,
+ * remote follower draining the re-materialized ring) with the ship
+ * batch as the knob. "default" seeds batch 1, "hand-tuned" 64,
+ * "adaptive" seeds 1 and runs the AutoTuner with the shipper's stats
+ * as the wire source.
  *
  * The figure of merit is gap recovery: how much of the default-to-
  * hand-tuned throughput gap the adaptive row recovers with zero
@@ -96,78 +86,6 @@ struct RunResult {
     std::uint64_t final_knob = 0;   ///< the knob value at run end
     std::uint64_t decisions = 0;    ///< AutoTuner adjustments applied
 };
-
-/** Coalesced-publish throughput with the run cap per @p mode. */
-RunResult
-runCoalesce(Mode mode, std::uint64_t total_events)
-{
-    Node host(0);
-    core::ControlBlock *cb = host.layout.controlBlock(&host.region);
-
-    if (mode == Mode::Default)
-        core::TuningHandle(&cb->tuning).set(core::Knob::CoalesceRun, 1);
-    else if (mode == Mode::Tuned)
-        core::TuningHandle(&cb->tuning).set(core::Knob::CoalesceRun, 64);
-    else
-        core::seedKnob(cb->tuning, core::Knob::CoalesceRun, 1);
-
-    ring::RingBuffer ring = host.layout.tupleRing(&host.region, 0);
-    const int slot = ring.attachConsumer();
-    VARAN_CHECK(slot >= 0);
-
-    ring::PublishCoalescer coalescer;
-    coalescer.reset(&ring, ring::PublishCoalescer::kMaxPending);
-    coalescer.bindLiveLimit(
-        &cb->tuning.values[static_cast<std::uint32_t>(
-            core::Knob::CoalesceRun)]);
-
-    std::thread consumer([&] {
-        ring::Event events[64];
-        ring::WaitSpec wait;
-        wait.timeout_ns = 50000000; // 50 ms tick
-        std::uint64_t seen = 0;
-        while (seen < total_events)
-            seen += ring.consumeBatch(slot, events, 64, wait);
-    });
-
-    adapt::AutoTuner tuner(&host.region, &host.layout,
-                           benchTunerOptions());
-    if (mode == Mode::Adaptive)
-        tuner.start();
-
-    const std::uint64_t start_ns = monotonicNs();
-    ring::Event event = {};
-    event.type = ring::EventType::Syscall;
-    event.nr = 39; // getpid
-    event.result = 4242;
-    std::uint64_t since_bump = 0;
-    for (std::uint64_t i = 0; i < total_events; ++i) {
-        event.timestamp = i + 1;
-        VARAN_CHECK(coalescer.add(event));
-        // Feed the sampler the way the monitor's event path does.
-        if (++since_bump == 4096) {
-            cb->events_streamed.fetch_add(since_bump,
-                                          std::memory_order_relaxed);
-            since_bump = 0;
-        }
-    }
-    VARAN_CHECK(coalescer.flush());
-    cb->events_streamed.fetch_add(since_bump, std::memory_order_relaxed);
-
-    consumer.join();
-    const std::uint64_t elapsed_ns = monotonicNs() - start_ns;
-    tuner.stop();
-
-    RunResult result;
-    result.events_per_sec =
-        elapsed_ns > 0 ? 1e9 * static_cast<double>(total_events) /
-                             static_cast<double>(elapsed_ns)
-                       : 0;
-    result.final_knob = core::liveKnob(cb->tuning,
-                                       core::Knob::CoalesceRun);
-    result.decisions = tuner.decisionsApplied();
-    return result;
-}
 
 /** End-to-end shipping throughput with the ship batch per @p mode
  *  (the sec55 harness, minus the static batch). */
@@ -303,37 +221,22 @@ int
 main()
 {
     ignoreSigpipe();
-    const std::uint64_t ring_total = scaled(4000000, 200000);
     const std::uint64_t wire_total = scaled(800000, 60000);
     std::printf("Section 5.6 (extension): adaptive event-path "
                 "auto-tuning\n\n");
 
-    {
-        const RunResult def = runCoalesce(Mode::Default, ring_total);
-        const RunResult tuned = runCoalesce(Mode::Tuned, ring_total);
-        const RunResult adaptive = runCoalesce(Mode::Adaptive, ring_total);
-        char title[128];
-        std::snprintf(title, sizeof(title),
-                      "Coalesced publish (CoalesceRun knob), %llu events",
-                      static_cast<unsigned long long>(ring_total));
-        report(title, "run", "sec56_coalesce", def, tuned, adaptive);
-    }
+    const RunResult def = runWire(Mode::Default, wire_total);
+    const RunResult tuned = runWire(Mode::Tuned, wire_total);
+    const RunResult adaptive = runWire(Mode::Adaptive, wire_total);
+    char title[128];
+    std::snprintf(title, sizeof(title),
+                  "Wire shipping (ShipBatch knob), %llu events end to end",
+                  static_cast<unsigned long long>(wire_total));
+    report(title, "batch", "sec56_wire", def, tuned, adaptive);
 
-    {
-        const RunResult def = runWire(Mode::Default, wire_total);
-        const RunResult tuned = runWire(Mode::Tuned, wire_total);
-        const RunResult adaptive = runWire(Mode::Adaptive, wire_total);
-        char title[128];
-        std::snprintf(
-            title, sizeof(title),
-            "Wire shipping (ShipBatch knob), %llu events end to end",
-            static_cast<unsigned long long>(wire_total));
-        report(title, "batch", "sec56_wire", def, tuned, adaptive);
-    }
-
-    std::printf("Expected shape: both adaptive rows start at the "
-                "per-event floor, climb to\nthe batching ceiling within "
-                "~16 decisions, and recover >=80%% of the\n"
+    std::printf("Expected shape: the adaptive row starts at the "
+                "per-event floor, climbs to\nthe batching ceiling within "
+                "~16 decisions, and recovers >=80%% of the\n"
                 "default-to-hand-tuned gap with zero configuration.\n");
     return 0;
 }

@@ -5,11 +5,10 @@
  * One background thread per engine. Each tick it (1) asks the Sampler
  * for the rate picture since the last tick, (2) hands that plus the
  * live knob snapshot to the Controller, and (3) applies the resulting
- * decisions to the shared TuningBlock — where the Monitor's publish
- * path, the PublishCoalescer and the wire Shipper re-read them at
- * batch boundaries. Pinned knobs (TuningHandle::set() pins by default)
- * are skipped, so an operator override always wins over the
- * controller.
+ * decisions to the shared TuningBlock — where the wire Shipper
+ * re-reads them at batch boundaries. Pinned knobs (TuningHandle::set()
+ * pins by default) are skipped, so an operator override always wins
+ * over the controller.
  *
  * tickOnce() runs one synchronous round with a caller-supplied clock —
  * that is what the deterministic tests and the benches drive.

@@ -6,12 +6,8 @@ namespace {
 
 /** Additive-increase step for the batch-size knobs. Fixed (rather than
  *  proportional) so convergence time is predictable: floor-to-ceiling
- *  on ShipBatch/CoalesceRun is ~16 decisions. */
+ *  on ShipBatch is ~16 decisions. */
 constexpr std::uint64_t kBatchStep = 4;
-
-/** Staleness budget per coalesced event: run 16 = the historical
- *  200 µs default window. */
-constexpr std::uint64_t kWindowPerEventNs = 12500;
 
 /** Credit-stall share that counts as pressure on the window. */
 constexpr double kStallPressure = 0.25;
@@ -68,24 +64,6 @@ Controller::step(const Sample &sample, const core::Tuning &current)
                                                 : sample.events_per_sec;
     stepThroughput(core::Knob::ShipBatch, current.ship_batch, ship_rate,
                    kBatchStep, &ship_state_, &out);
-
-    // Coalesce run climbs the publish rate.
-    stepThroughput(core::Knob::CoalesceRun, current.coalesce_run,
-                   sample.events_per_sec, kBatchStep, &run_state_, &out);
-
-    // The staleness window is derived, not searched: a run cap only
-    // fills if followers tolerate ~12.5 µs of staleness per event.
-    std::uint64_t run_now = current.coalesce_run;
-    for (const Decision &d : out)
-        if (d.knob == core::Knob::CoalesceRun)
-            run_now = d.to;
-    const std::uint64_t want_window =
-        core::clampKnob(core::Knob::CoalesceWindowNs,
-                        run_now * kWindowPerEventNs);
-    if (want_window != current.coalesce_window_ns) {
-        out.push_back({core::Knob::CoalesceWindowNs,
-                       current.coalesce_window_ns, want_window});
-    }
 
     // Credit window: pressure-driven, not throughput-searched. Stalled
     // drain passes mean the window itself is the bottleneck — double

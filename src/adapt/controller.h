@@ -11,18 +11,17 @@
  * Per-knob policy (AIMD hill-climbing with hysteresis, hard
  * floor/ceiling via core::kKnobRanges):
  *
- *  - ShipBatch / CoalesceRun climb their throughput signal: a move
- *    that raised the rate by more than the hysteresis band earns an
- *    additive increase, a move that lowered it costs a multiplicative
+ *  - ShipBatch climbs its throughput signal: a move that raised the
+ *    rate by more than the hysteresis band earns an additive
+ *    increase, a move that lowered it costs a multiplicative
  *    (halving) decrease, and a flat plateau probes upward — deeper
  *    batching is free until it is not, and the next regression undoes
  *    an overshoot.
  *  - CreditWindow reacts to pressure: credit-stalled drain passes
  *    double it (the window is what gates the drain), a long clean
  *    streak decays it by a quarter toward its resting default.
- *  - CoalesceWindowNs is derived: a run cap only fills if the
- *    staleness window gives it time, so the window tracks the run
- *    length at ~12.5 µs per event (run 16 = the historical 200 µs).
+ *  - CoalesceWindowNs (the shipper's linger cap) is left where it was
+ *    seeded: only an operator moves it.
  */
 
 #ifndef VARAN_ADAPT_CONTROLLER_H
@@ -89,7 +88,6 @@ class Controller
 
     ControllerConfig config_;
     KnobState ship_state_;
-    KnobState run_state_;
     KnobState credit_state_;
     std::uint32_t credit_clean_ticks_ = 0;
 };

@@ -135,8 +135,6 @@ struct ControlBlock {
     std::atomic<std::uint64_t> divergences_resolved;
     std::atomic<std::uint64_t> divergences_fatal;
     std::atomic<std::uint64_t> fd_transfers;
-    std::atomic<std::uint64_t> publish_batches;  ///< coalesced flushes
-    std::atomic<std::uint64_t> events_coalesced; ///< events shipped batched
 
     // Record-replay sink statistics, mirrored here by rr::LogSink so a
     // StatusReport — local or served over the wire status RPC — can
@@ -149,7 +147,7 @@ struct ControlBlock {
     std::atomic<std::uint64_t> rr_spill_peak;  ///< spill-buffer high water
 
     /** Live event-path knobs + adaptive-controller statistics. Every
-     *  knob consumer (shipper, coalescer, monitor) re-reads from here
+     *  knob consumer (the wire shipper) re-reads from here
      *  at batch boundaries instead of caching config at startup. */
     TuningBlock tuning;
 

@@ -25,7 +25,6 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bpf/rules.h"
@@ -50,18 +49,6 @@ class Monitor : public sys::Dispatcher
         std::uint64_t progress_timeout_ns = 30000000000ULL; ///< 30 s
         bool verify_divergence = true;    ///< hash write buffers
         std::vector<std::string> rules_text; ///< BPF rewrite rules
-
-        /** Leader-side publish coalescing: accumulate payload-free
-         *  syscall events and flush them as one batch (one head store +
-         *  one wake per run). Runs flush before blocking calls, when a
-         *  follower sleeps, when the inter-event gap exceeds the window
-         *  or on any ordering fence (payload/fd/fork/exit event).
-         *  Off by default: a leader crash loses the pending run, so the
-         *  promoted follower re-executes those calls (at-least-once
-         *  external effects) — see CoalesceConfig::enabled. */
-        bool coalesce_publish = false;
-        std::uint32_t coalesce_max = 16;        ///< pending run cap
-        std::uint64_t coalesce_window_ns = 200000; ///< 200 µs gap cap
 
         /** Restart-policy respawn: this incarnation joins the live
          *  stream at the ring tail, so the variant's shared Lamport
@@ -127,33 +114,13 @@ class Monitor : public sys::Dispatcher
     long dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
                           const sys::SyscallInfo &info);
 
-    /** Append a stamped payload-free event to tuple's pending
-     *  coalesced run (flushing when the live run cap is reached, and
-     *  immediately when a follower is asleep). */
-    void coalesceAdd(int tuple, ring::Event &event);
-
-    /** The staleness window in force right now (live Tuning knob). */
-    std::uint64_t liveCoalesceWindowNs() const;
     long handleFork(int tuple, long nr, const std::uint64_t args[6]);
     long handleExit(int tuple, long nr, const std::uint64_t args[6]);
 
-    /** Assemble and publish one leader event (flushes any pending
-     *  coalesced run first so stream order is preserved). */
+    /** Stamp, claim, recycle the slot's payload shadow and commit one
+     *  leader event. */
     void publishEvent(int tuple, ring::Event &event,
                       shmem::Offset payload);
-
-    /** Flush tuple's pending coalesced run through claim()/commit(). */
-    void flushCoalesced(int tuple);
-
-    /** Flush when the pending run must not be held back any longer:
-     *  the incoming call can block indefinitely, a follower is asleep,
-     *  or the run has been pending longer than the coalesce window. */
-    void coalesceBarrier(int tuple, const sys::SyscallInfo &info);
-
-    /** PublishCoalescer recycler: release the payload shadows of the
-     *  claimed slots before the batch overwrites them. */
-    static void recycleSlots(void *ctx, std::uint64_t first_seq,
-                             std::size_t count);
 
     /** Leader-side payload assembly from tuple's pool arena; returns
      *  pool offset (0 = none), reporting global-arena spills. */
@@ -224,21 +191,6 @@ class Monitor : public sys::Dispatcher
      *  event observed (see Config::resync_clock). */
     bool clock_resync_pending_ = false;
 
-    // --- leader-side publish coalescing (one per tuple; each tuple's
-    //     producer side is owned by exactly one thread) ---
-    struct TupleRef {
-        Monitor *monitor;
-        std::uint32_t tuple;
-    };
-    ring::PublishCoalescer coalescers_[kMaxTuples];
-    TupleRef tuple_refs_[kMaxTuples];
-    std::atomic<std::uint64_t> coalesce_last_ns_[kMaxTuples] = {};
-    /** monotonicNs() of the first add of the pending run (guarded by
-     *  coalesce_mutex_); flush time minus this is the coalesce-dwell
-     *  histogram sample. Reuses the timestamp coalesceAdd already
-     *  takes, so the dwell measurement is free on the hot path. */
-    std::uint64_t coalesce_first_ns_[kMaxTuples] = {};
-
     // --- follower-side peek batching: a read-ahead of peeked, not yet
     //     advanced events. Slots stay claimed (and pool payloads
     //     alive) until each event is processed and advanced. ---
@@ -268,22 +220,8 @@ class Monitor : public sys::Dispatcher
 
     /** In a freshly forked child: drop inherited cross-thread state —
      *  demux inboxes (the parent owns those parked descriptors and,
-     *  worst case, a mutex locked mid-operation at fork time), the
-     *  coalescing mutexes, and the flusher thread handle (the pthread
-     *  was not duplicated by fork; joining it would hang forever). */
+     *  worst case, a mutex locked mid-operation at fork time). */
     void resetProcessStateAfterFork(int child_tuple);
-
-    // --- leader-side time-based coalescing flusher: a compute-bound
-    //     leader makes no syscalls, so no dispatch path ever reaches
-    //     coalesceBarrier(); this thread ships a stale pending run
-    //     after the coalesce window expires. Producer-side ring access
-    //     for coalescing-enabled tuples is serialized through
-    //     coalesce_mutex_ so the flusher can claim()/commit() safely
-    //     against the owning thread. ---
-    void flusherLoop();
-    std::thread flusher_thread_;
-    std::atomic<bool> flusher_stop_{false};
-    std::mutex coalesce_mutex_[kMaxTuples];
 };
 
 } // namespace varan::core

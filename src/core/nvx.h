@@ -17,9 +17,8 @@
  *    attach to the revision that diverges, not to the whole engine)
  *    and an on-exit restart policy;
  *  - EngineConfig groups the engine knobs into RingConfig /
- *    CoalesceConfig / RemoteConfig sub-structs and carries the
- *    lifecycle hooks (on_divergence_record, on_failover,
- *    on_variant_exit);
+ *    RemoteConfig sub-structs and carries the lifecycle hooks
+ *    (on_divergence_record, on_failover, on_variant_exit);
  *  - StatusReport (core/status.h) is the single consolidated snapshot
  *    replacing the grab-bag of counter getters, also served to remote
  *    peers over the wire Status RPC.
@@ -152,28 +151,6 @@ struct RingConfig {
 };
 
 /**
- * Leader-side publish coalescing: payload-free syscall events
- * accumulate into a pending run shipped with one head store + one
- * futex wake (DMON-style relaxed batching). Runs flush before any
- * blocking call, payload/descriptor event, tuple opening, sleeping
- * follower, or once the run goes stale, so followers never starve.
- *
- * Off by default because it relaxes failover exactness: events
- * executed but still pending when the leader crashes are lost, so the
- * promoted follower re-executes up to max_run calls whose external
- * effects (writes) already happened — the crash window widens from one
- * event to one run. Enable it for throughput when at-least-once
- * effects across a leader crash are acceptable.
- */
-struct CoalesceConfig {
-    bool enabled = false;
-    // The run cap and staleness window are Tuning knobs
-    // (EngineConfig::tuning.coalesce_run / .coalesce_window_ns); the
-    // deprecated max_run/window_ns seed shims were removed after their
-    // one-release grace period.
-};
-
-/**
  * Multi-node event shipping: when any endpoint is configured, the
  * coordinator connects to each abstract-socket endpoint and streams
  * the leader's rings to the wire::Receiver behind it — one shipper,
@@ -267,16 +244,14 @@ struct EngineConfig {
     std::vector<std::string> rewrite_rules;
 
     RingConfig ring;
-    CoalesceConfig coalesce;
     RemoteConfig remote;
 
     /**
      * The unified event-path knob surface (API redesign): one struct
-     * holding every batching/pacing parameter that used to be spread
-     * across CoalesceConfig and RemoteConfig. Seeds the shared
-     * TuningBlock at start(); after that the values live in shared
-     * memory — retune them at runtime through Nvx::tuning() without
-     * restarting anything.
+     * holding every batching/pacing parameter of the wire path. Seeds
+     * the shared TuningBlock at start(); after that the values live in
+     * shared memory — retune them at runtime through Nvx::tuning()
+     * without restarting anything.
      *
      */
     Tuning tuning;
@@ -395,12 +370,11 @@ class Nvx
 
     /**
      * The live tuning handle (valid once start() ran). Setters write
-     * straight into the shared TuningBlock: the publish coalescer, the
-     * flusher and the wire shipper re-read the knobs at batch
-     * boundaries, so a change takes effect within one batch — no
-     * restart, no reconnect. set() pins the knob by default so the
-     * adaptive controller (EngineConfig::adapt) never fights a manual
-     * override; unpin() hands it back.
+     * straight into the shared TuningBlock: the wire shipper re-reads
+     * the knobs at batch boundaries, so a change takes effect within
+     * one batch — no restart, no reconnect. set() pins the knob by
+     * default so the adaptive controller (EngineConfig::adapt) never
+     * fights a manual override; unpin() hands it back.
      */
     TuningHandle tuning() const;
 
@@ -411,8 +385,6 @@ class Nvx
     std::uint64_t divergencesResolved() const;
     std::uint64_t divergencesFatal() const;
     std::uint64_t fdTransfers() const;
-    std::uint64_t publishBatches() const;  ///< coalesced flushes
-    std::uint64_t eventsCoalesced() const; ///< events shipped batched
     std::uint64_t poolSpills() const;      ///< global-arena fallbacks
 
     /** Per-shard payload-pool pressure snapshot. */
@@ -554,13 +526,6 @@ class Nvx::Builder
     progressTimeoutNs(std::uint64_t ns)
     {
         config_.ring.progress_timeout_ns = ns;
-        return *this;
-    }
-
-    Builder &
-    coalesce(CoalesceConfig coalesce_config)
-    {
-        config_.coalesce = std::move(coalesce_config);
         return *this;
     }
 

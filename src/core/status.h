@@ -120,9 +120,7 @@ struct AdaptStatus {
     // The live knob values (core::Tuning mirror).
     std::uint32_t ship_batch;
     std::uint32_t credit_window;
-    std::uint32_t coalesce_run;
-    std::uint32_t reserved;
-    std::uint64_t coalesce_window_ns;
+    std::uint64_t coalesce_window_ns; ///< the shipper's linger cap
 };
 
 /** One log2-bucket latency histogram, snapshotted from the shared
@@ -136,7 +134,7 @@ struct HistogramStatus {
     std::uint64_t count;
 };
 
-/** Observability snapshot: flight-recorder state, the four event-path
+/** Observability snapshot: flight-recorder state, the three event-path
  *  latency histograms and the tail of the divergence ledger. */
 struct TraceStatus {
     std::uint32_t enabled;        ///< flight recorder + histograms on
@@ -144,7 +142,6 @@ struct TraceStatus {
     std::uint64_t trace_records;  ///< flight-recorder stamps written
     std::uint64_t ledger_records; ///< divergence ledger appends
     HistogramStatus publish_lag;    ///< event creation -> follower dispatch
-    HistogramStatus coalesce_dwell; ///< first add -> coalesced flush
     HistogramStatus credit_stall;   ///< wire credit-window stall spans
     HistogramStatus blackout;       ///< leader death -> first dispatch
     /** The most recent divergence ledger entries, oldest first. */
@@ -169,8 +166,6 @@ struct StatusReport {
     std::uint64_t divergences_resolved;
     std::uint64_t divergences_fatal;
     std::uint64_t fd_transfers;
-    std::uint64_t publish_batches;   ///< coalesced flushes
-    std::uint64_t events_coalesced;  ///< events shipped batched
 
     VariantStatus variants[kMaxVariants];
     shmem::PoolStats pool;           ///< per-arena pressure + spills

@@ -3,9 +3,9 @@
  * The unified live tuning surface of the event path.
  *
  * Every event-path parameter that used to be a static config field —
- * ship batch, credit window, coalesce run length, coalesce staleness
- * window — is one Knob backed by an atomic slot in the shared region
- * (TuningBlock, embedded in the ControlBlock). Consumers re-read the
+ * ship batch, credit window, the shipper's linger cap — is one Knob
+ * backed by an atomic slot in the shared region (TuningBlock, embedded
+ * in the ControlBlock). Consumers re-read the
  * live value at batch boundaries instead of caching it at
  * construction, so a knob turned mid-run —
  * by an operator through Nvx::tuning(), or by the adaptive controller
@@ -20,7 +20,7 @@
  *
  * Seeding is first-writer-wins (the seeded mask): the coordinator
  * seeds all knobs from EngineConfig at start; a component constructed
- * later — a promoted shipper on a receiver node, a variant monitor —
+ * later — a promoted shipper on a receiver node —
  * finds the bit set and adopts the live value instead of clobbering a
  * retuned one with its construction-time options.
  */
@@ -37,11 +37,10 @@ namespace varan::core {
 enum class Knob : std::uint32_t {
     ShipBatch = 0,        ///< events per wire Events frame
     CreditWindow = 1,     ///< max unacked events per tuple per peer
-    CoalesceRun = 2,      ///< leader publish-coalescing run cap
-    CoalesceWindowNs = 3, ///< coalesced-run staleness cap
+    CoalesceWindowNs = 2, ///< shipper's linger cap for a short run
 };
 
-inline constexpr std::uint32_t kNumKnobs = 4;
+inline constexpr std::uint32_t kNumKnobs = 3;
 
 /** lag_ewma slots; must equal kMaxTuples (asserted in layout.h). */
 inline constexpr std::uint32_t kTuningLagSlots = 16;
@@ -55,19 +54,17 @@ struct KnobRange {
 inline constexpr KnobRange kKnobRanges[kNumKnobs] = {
     {1, 64},               // ShipBatch   (== wire::Shipper::kMaxShipBatch)
     {64, 1u << 20},        // CreditWindow
-    {1, 64},               // CoalesceRun (== ring::PublishCoalescer::kMaxPending)
     {10000, 100000000},    // CoalesceWindowNs [10 µs, 100 ms]
 };
 
 /**
  * Plain seed values for the live knobs — what EngineConfig carries and
  * what seeds the shared TuningBlock at engine start. The defaults are
- * the historical RingConfig/CoalesceConfig/RemoteConfig defaults.
+ * the historical RingConfig/RemoteConfig defaults.
  */
 struct Tuning {
     std::uint32_t ship_batch = 16;
     std::uint32_t credit_window = 4096;
-    std::uint32_t coalesce_run = 16;
     std::uint64_t coalesce_window_ns = 200000;
 };
 
@@ -130,8 +127,6 @@ initTuningDefaults(TuningBlock &block)
         defaults.ship_batch, std::memory_order_relaxed);
     block.values[static_cast<std::uint32_t>(Knob::CreditWindow)].store(
         defaults.credit_window, std::memory_order_relaxed);
-    block.values[static_cast<std::uint32_t>(Knob::CoalesceRun)].store(
-        defaults.coalesce_run, std::memory_order_relaxed);
     block.values[static_cast<std::uint32_t>(Knob::CoalesceWindowNs)].store(
         defaults.coalesce_window_ns, std::memory_order_relaxed);
 }
@@ -157,7 +152,6 @@ seedTuning(TuningBlock &block, const Tuning &tuning)
 {
     seedKnob(block, Knob::ShipBatch, tuning.ship_batch);
     seedKnob(block, Knob::CreditWindow, tuning.credit_window);
-    seedKnob(block, Knob::CoalesceRun, tuning.coalesce_run);
     seedKnob(block, Knob::CoalesceWindowNs, tuning.coalesce_window_ns);
 }
 
@@ -233,8 +227,6 @@ class TuningHandle
             static_cast<std::uint32_t>(get(Knob::ShipBatch));
         t.credit_window =
             static_cast<std::uint32_t>(get(Knob::CreditWindow));
-        t.coalesce_run =
-            static_cast<std::uint32_t>(get(Knob::CoalesceRun));
         t.coalesce_window_ns = get(Knob::CoalesceWindowNs);
         return t;
     }
@@ -253,13 +245,6 @@ class TuningHandle
         return static_cast<std::uint32_t>(get(Knob::CreditWindow));
     }
     void creditWindow(std::uint32_t v) { set(Knob::CreditWindow, v); }
-
-    std::uint32_t
-    coalesceRun() const
-    {
-        return static_cast<std::uint32_t>(get(Knob::CoalesceRun));
-    }
-    void coalesceRun(std::uint32_t v) { set(Knob::CoalesceRun, v); }
 
     std::uint64_t coalesceWindowNs() const
     {

@@ -510,33 +510,4 @@ RingBuffer::consumerActive(int id) const
     return control()->cursors[id].active.load(std::memory_order_acquire);
 }
 
-bool
-PublishCoalescer::flush(const WaitSpec &wait)
-{
-    const std::size_t count = count_.load(std::memory_order_relaxed);
-    if (count == 0)
-        return true;
-    const std::uint32_t capacity = ring_->capacity();
-    std::size_t flushed = 0;
-    while (flushed < count) {
-        const std::size_t n = std::min<std::size_t>(
-            count - flushed, capacity);
-        std::uint64_t seq = 0;
-        if (!ring_->claim(n, &seq, wait)) {
-            // Keep what did not fit; the caller sees the failure and the
-            // remaining run survives for the next flush attempt.
-            std::memmove(pending_, pending_ + flushed,
-                         (count - flushed) * sizeof(Event));
-            count_.store(count - flushed, std::memory_order_release);
-            return false;
-        }
-        if (recycler_)
-            recycler_(recycler_ctx_, seq, n);
-        ring_->commit({pending_ + flushed, n});
-        flushed += n;
-    }
-    count_.store(0, std::memory_order_release);
-    return true;
-}
-
 } // namespace varan::ring

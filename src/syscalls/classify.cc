@@ -177,16 +177,6 @@ buildTable()
     for (long nr : {SYS_write, SYS_pwrite64, SYS_sendto})
         t[static_cast<std::size_t>(nr)].hashed_in = InBufferSpec{1, 2};
 
-    // Calls that can wait indefinitely on external input: the leader
-    // must drain any coalesced publish run before entering them.
-    for (long nr : {SYS_read, SYS_pread64, SYS_recvfrom, SYS_poll,
-                    SYS_select, SYS_epoll_wait, SYS_epoll_pwait,
-                    SYS_accept, SYS_accept4, SYS_connect, SYS_nanosleep,
-                    SYS_clock_nanosleep, SYS_flock, SYS_wait4,
-                    SYS_futex}) {
-        t[static_cast<std::size_t>(nr)].may_block = true;
-    }
-
     // --- virtual system calls (section 3.2.1) ---
     set(SYS_time, "time", Virtual, outFixed(0, 8));
     set(SYS_gettimeofday, "gettimeofday", Virtual, outFixed(0, 16));

@@ -125,10 +125,8 @@ renderStatus(const core::StatusReport &report)
                 : static_cast<int>(report.leader),
             report.epoch, report.stream_generation, report.num_tuples);
     appendf(out,
-            "stream: %" PRIu64 " events, %" PRIu64 " coalesced in %" PRIu64
-            " batches, %" PRIu64 " fd transfers\n",
-            report.events_streamed, report.events_coalesced,
-            report.publish_batches, report.fd_transfers);
+            "stream: %" PRIu64 " events, %" PRIu64 " fd transfers\n",
+            report.events_streamed, report.fd_transfers);
     appendf(out,
             "divergences: %" PRIu64 " resolved, %" PRIu64 " fatal, "
             "%" PRIu64 " ledger record(s)\n",
@@ -205,7 +203,6 @@ renderHistograms(const core::StatusReport &report)
 {
     std::string out;
     appendHistogram(out, "publish_lag", report.trace.publish_lag);
-    appendHistogram(out, "coalesce_dwell", report.trace.coalesce_dwell);
     appendHistogram(out, "credit_stall", report.trace.credit_stall);
     appendHistogram(out, "blackout", report.trace.blackout);
     return out;
@@ -219,10 +216,10 @@ renderTuning(const core::StatusReport &report)
                  " decision(s), pinned mask 0x%x\n",
             report.adapt.active ? "on" : "off", report.adapt.samples,
             report.adapt.decisions, report.adapt.pinned_mask);
-    appendf(out, "ship_batch=%u credit_window=%u coalesce_run=%u "
+    appendf(out, "ship_batch=%u credit_window=%u "
                  "coalesce_window_ns=%" PRIu64 "\n",
             report.adapt.ship_batch, report.adapt.credit_window,
-            report.adapt.coalesce_run, report.adapt.coalesce_window_ns);
+            report.adapt.coalesce_window_ns);
     return out;
 }
 

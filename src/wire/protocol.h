@@ -97,7 +97,10 @@
 namespace varan::wire {
 
 inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
-/** v8: every body checksum is CRC32C (common/hash.h) instead of
+/** v9: the Status body lost the leader-side publish-coalescing fields
+ *  (publish_batches, events_coalesced, the run-cap knob and the
+ *  coalesce-dwell histogram) along with publish coalescing itself.
+ *  v8: every body checksum is CRC32C (common/hash.h) instead of
  *  FNV-1a; frame layouts are unchanged.
  *  v7: the Status body lost the adaptive fast-path fields (hit count,
  *  top-k width, hot table) along with the fast path itself.
@@ -122,7 +125,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
  *  v2: the Status frame became the status RPC (empty body = request,
  *  core::StatusReport body = reply); in v1 it carried a HelloBody and
  *  nothing ever sent it. */
-inline constexpr std::uint16_t kProtocolVersion = 8;
+inline constexpr std::uint16_t kProtocolVersion = 9;
 
 /** Upper bound on a frame body; anything larger is corruption. */
 inline constexpr std::uint32_t kMaxBodyBytes = 16u << 20;
@@ -281,7 +284,7 @@ headerValid(const FrameHeader &h)
     return true;
 }
 
-static_assert(sizeof(core::StatusReport) == 2624,
+static_assert(sizeof(core::StatusReport) == 2328,
               "the Status body is wire-visible: a layout change needs a "
               "kProtocolVersion bump and a docs/WIRE_PROTOCOL.md row");
 

@@ -297,8 +297,8 @@ Receiver::publishRun(std::uint32_t tuple, ring::Event *events,
 {
     // The batched mirror of the shipper's relaxed shipping: one
     // claim/commit — one head store, one wake — per ring chunk rather
-    // than per event. Shadow recycling per claimed slot, exactly like
-    // the leader-side coalesced path.
+    // than per event. Each claimed slot's payload shadow is recycled,
+    // as the leader's publishEvent does for its one slot.
     core::ControlBlock *cb = layout_->controlBlock(region_);
     shmem::ShardedPool pool = layout_->pool(region_);
     ring::RingBuffer ring = layout_->tupleRing(region_, tuple);

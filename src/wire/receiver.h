@@ -44,9 +44,9 @@
  * election, so the promoted stream is complete from its first event)
  * toward the surviving nodes, with the bumped generation in its
  * Hello. External effects between the dead leader's last shipped
- * frame and the promotion are re-executed by the new leader —
- * the same at-least-once window as local publish coalescing,
- * documented in docs/ARCHITECTURE.md.
+ * frame and the promotion are re-executed by the new leader: across
+ * nodes, failover is at-least-once over the events the shipper had
+ * not yet sent (documented in docs/ARCHITECTURE.md).
  *
  * Duplicate suppression makes the link at-least-once-safe: the
  * receiver tracks the next expected ring sequence per tuple, drops the

@@ -74,9 +74,7 @@ Shipper::liveRetainLimit() const
 
 Shipper::~Shipper()
 {
-    stopPump();
-    if (thread_.joinable())
-        thread_.join();
+    stopAndSweep();
     for (std::uint32_t t = 0; t < core::kMaxTuples; ++t) {
         if (tuples_[t].tap_slot >= 0) {
             ring::RingBuffer ring = layout_->tupleRing(region_, t);
@@ -916,8 +914,8 @@ Shipper::waitForWork()
         static_cast<std::uint64_t>(options_.tick_ms) * 1000000ULL);
     if (ready == 0 || ready >= liveShipBatch())
         return;
-    // Relaxed batching with a bounded staleness cap (the leader-side
-    // coalescer's window): let a short run grow into one frame. This
+    // Relaxed batching with a bounded staleness cap (the live
+    // CoalesceWindowNs knob): let a short run grow into one frame. This
     // sleep is on the shipper's own word, not announced in the rings,
     // so the publishes it waits for do not each wake us.
     futexWait(&wake_, wake_seen,
@@ -931,8 +929,6 @@ Shipper::pumpLoop()
         if (pumpOnce() == 0)
             waitForWork();
     }
-    // Final sweep: ship whatever the leader published before stop.
-    drainRemaining();
 }
 
 void
@@ -941,6 +937,19 @@ Shipper::stopPump()
     stopping_.store(true, std::memory_order_seq_cst);
     wake_.fetch_add(1, std::memory_order_seq_cst);
     futexWake(&wake_, 1);
+}
+
+void
+Shipper::stopAndSweep()
+{
+    stopPump();
+    if (thread_.joinable())
+        thread_.join();
+    if (swept_)
+        return;
+    swept_ = true;
+    // Final sweep: ship whatever the leader published before stop.
+    drainRemaining();
 }
 
 void
@@ -953,10 +962,7 @@ Shipper::start()
 Status
 Shipper::finish()
 {
-    stopPump();
-    if (thread_.joinable())
-        thread_.join();
-    drainRemaining();
+    stopAndSweep();
     std::lock_guard<std::mutex> guard(mutex_);
     for (auto &peer : peers_) {
         if (!peer->link_up)

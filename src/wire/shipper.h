@@ -172,7 +172,7 @@ class Shipper
     /** Start the background pump thread. */
     void start();
 
-    /** Drain what is left in the rings, send Bye, stop the pump, and
+    /** Stop the pump, drain what is left in the rings, send Bye, and
      *  detach the taps. */
     Status finish();
 
@@ -294,6 +294,9 @@ class Shipper
     void pumpLoop();
     /** Ask the pump to stop and wake it from waitForWork(). */
     void stopPump();
+    /** Stop and join the pump, then run the one final drainRemaining()
+     *  of this shipper's life (finish() and the destructor share it). */
+    void stopAndSweep();
     Status sendHello(int socket_fd);
     void dropPeerLink(PeerSession &peer);
     void refreshLinkUp();
@@ -306,6 +309,7 @@ class Shipper
     std::uint64_t last_status_push_ns_ = 0;
     std::atomic<bool> link_up_{false};
     std::atomic<bool> stopping_{false};
+    bool swept_ = false; ///< the final sweep ran (owner thread only)
     /** Bumped by stopPump(): waitForWork() sleeps on it beside the
      *  tap rings, so a stop request ends the sleep at once. */
     std::atomic<std::uint32_t> wake_{0};

@@ -5,11 +5,11 @@
  * scripted fake samples (convergence, regression backoff, hysteresis
  * dead band, hard floors/ceilings), the AutoTuner against a real
  * shared layout (pinned knobs skipped, decisions counted),
- * live knob re-reads by the wire shipper and the publish coalescer
- * mid-run (no restart), the promoted-shipper knob-adoption regression,
- * the unsolicited Status push, BPF hot-rule heat counters, and the
- * engine-level guarantee: a Tuning write through Nvx::tuning() is
- * visible in the very next StatusReport and statusText().
+ * live knob re-reads by the wire shipper mid-run (no restart), the
+ * promoted-shipper knob-adoption regression, the unsolicited Status
+ * push, BPF hot-rule heat counters, and the engine-level guarantee: a
+ * Tuning write through Nvx::tuning() is visible in the very next
+ * StatusReport and statusText().
  */
 
 #include <sys/socket.h>
@@ -45,7 +45,7 @@ TEST(TuningTest, ClampEnforcesFloorsAndCeilings)
     EXPECT_EQ(core::clampKnob(Knob::ShipBatch, 0), 1u);
     EXPECT_EQ(core::clampKnob(Knob::ShipBatch, 1000), 64u);
     EXPECT_EQ(core::clampKnob(Knob::CreditWindow, 1), 64u);
-    EXPECT_EQ(core::clampKnob(Knob::CoalesceRun, 9999), 64u);
+    EXPECT_EQ(core::clampKnob(Knob::CreditWindow, 1u << 30), 1u << 20);
     EXPECT_EQ(core::clampKnob(Knob::CoalesceWindowNs, 1), 10000u);
 }
 
@@ -65,13 +65,13 @@ TEST(TuningTest, HandleSetClampsPinsAndSnapshots)
     handle.unpin(Knob::ShipBatch);
     EXPECT_FALSE(handle.pinned(Knob::ShipBatch));
 
-    handle.set(Knob::CoalesceRun, 32, /*pin=*/false);
-    EXPECT_FALSE(handle.pinned(Knob::CoalesceRun));
+    handle.set(Knob::CreditWindow, 8192, /*pin=*/false);
+    EXPECT_FALSE(handle.pinned(Knob::CreditWindow));
 
     Tuning snap = handle.snapshot();
     EXPECT_EQ(snap.ship_batch, 64u);
-    EXPECT_EQ(snap.coalesce_run, 32u);
-    EXPECT_EQ(snap.credit_window, Tuning{}.credit_window);
+    EXPECT_EQ(snap.credit_window, 8192u);
+    EXPECT_EQ(snap.coalesce_window_ns, Tuning{}.coalesce_window_ns);
 }
 
 TEST(TuningTest, SeedingIsFirstWriterWins)
@@ -117,9 +117,6 @@ applyStep(adapt::Controller &controller, const adapt::Sample &sample,
         switch (knob) {
           case Knob::ShipBatch:
             tuning.ship_batch = static_cast<std::uint32_t>(d.to);
-            break;
-          case Knob::CoalesceRun:
-            tuning.coalesce_run = static_cast<std::uint32_t>(d.to);
             break;
           case Knob::CreditWindow:
             tuning.credit_window = static_cast<std::uint32_t>(d.to);
@@ -199,25 +196,33 @@ TEST(ControllerTest, SettleTicksGateDecisions)
     EXPECT_TRUE(applyStep(controller, sample, tuning, Knob::ShipBatch));
 }
 
-TEST(ControllerTest, CoalesceWindowTracksRunLength)
+TEST(ControllerTest, ShipperLingerStaysAtItsSeed)
 {
+    // CoalesceWindowNs is the shipper's linger cap and only an operator
+    // moves it: however long throughput keeps rising with a wire live,
+    // no decision touches it while the batch knobs do climb.
     adapt::Controller controller(everyTick());
     Tuning tuning;
-    tuning.coalesce_run = 1;
-    tuning.coalesce_window_ns = 200000;
-    adapt::Sample sample;
-    sample.events_per_sec = 1000;
-    auto decisions = controller.step(sample, tuning);
-    std::uint64_t window = 0, run = 0;
-    for (const adapt::Decision &d : decisions) {
-        if (d.knob == Knob::CoalesceWindowNs)
-            window = d.to;
-        if (d.knob == Knob::CoalesceRun)
-            run = d.to;
+    tuning.ship_batch = 1;
+    tuning.coalesce_window_ns = 300000;
+    double rate = 1000.0;
+    bool climbed = false;
+    for (int i = 0; i < 64; ++i) {
+        adapt::Sample sample;
+        sample.events_per_sec = rate;
+        sample.wire_active = true;
+        sample.wire_events_per_sec = rate;
+        rate *= 1.25;
+        for (const adapt::Decision &d : controller.step(sample, tuning)) {
+            EXPECT_NE(d.knob, Knob::CoalesceWindowNs) << "tick " << i;
+            if (d.knob == Knob::ShipBatch) {
+                tuning.ship_batch = static_cast<std::uint32_t>(d.to);
+                climbed = true;
+            }
+        }
     }
-    ASSERT_GT(run, 0u);    // first tick probes the run upward
-    ASSERT_GT(window, 0u); // and the window follows the *new* run
-    EXPECT_EQ(window, run * 12500u);
+    EXPECT_TRUE(climbed);
+    EXPECT_EQ(tuning.coalesce_window_ns, 300000u);
 }
 
 TEST(ControllerTest, CreditWindowDoublesUnderStallPressure)
@@ -259,22 +264,30 @@ TEST(AutoTunerTest, SkipsPinnedKnobsAndCountsDecisions)
     TuningHandle handle(&engine.cb()->tuning);
     handle.set(Knob::ShipBatch, 7); // operator pin
 
+    // A live wire whose every drain pass stalls on credit: pressure
+    // the unpinned CreditWindow knob answers.
+    adapt::WireSample wire;
+    wire.active = true;
+    auto source = [&wire]() { return wire; };
+
     adapt::AutoTuner::Options options;
     options.controller = everyTick();
-    adapt::AutoTuner tuner(&engine.region, &engine.layout, options);
+    adapt::AutoTuner tuner(&engine.region, &engine.layout, options, source);
 
     std::uint64_t now = 1000000;
     tuner.tickOnce(now); // baseline
     for (int i = 0; i < 4; ++i) {
         engine.cb()->events_streamed.fetch_add(10000,
                                                std::memory_order_relaxed);
+        wire.events += 10000;
+        wire.credit_stalls += 100;
         now += 10000000;
         for (const adapt::Decision &d : tuner.tickOnce(now))
             EXPECT_NE(d.knob, Knob::ShipBatch); // pinned: never touched
     }
     EXPECT_EQ(handle.get(Knob::ShipBatch), 7u);
-    // The unpinned CoalesceRun knob was free to move.
-    EXPECT_GT(handle.get(Knob::CoalesceRun), Tuning{}.coalesce_run);
+    // The unpinned CreditWindow knob was free to move.
+    EXPECT_GT(handle.get(Knob::CreditWindow), Tuning{}.credit_window);
     EXPECT_GT(tuner.decisionsApplied(), 0u);
     EXPECT_GT(engine.cb()->tuning.adapt_samples.load(
                   std::memory_order_relaxed),
@@ -426,54 +439,6 @@ TEST(AdaptWireTest, UnsolicitedStatusPushArrives)
     ::close(sv[1]);
 }
 
-// ---------------------------------------------- live coalescer run limit
-
-TEST(AdaptRingTest, CoalescerRereadsLiveRunLimitPerAdd)
-{
-    auto r = shmem::Region::create(4 << 20);
-    ASSERT_TRUE(r.ok());
-    shmem::Region region = std::move(r.value());
-    shmem::Offset off =
-        region.carve(ring::RingBuffer::bytesRequired(64));
-    ring::RingBuffer ring = ring::RingBuffer::initialize(&region, off, 64);
-
-    std::atomic<std::uint64_t> live_limit{4};
-    ring::PublishCoalescer co;
-    co.reset(&ring, ring::PublishCoalescer::kMaxPending);
-    co.bindLiveLimit(&live_limit);
-    EXPECT_EQ(co.effectiveMax(), 4u);
-
-    ring::Event event = syscallEvent(1, 39, 0);
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(co.add(event));
-    // The 4-run is full: the next add ships it first.
-    ASSERT_TRUE(co.add(event));
-    EXPECT_EQ(ring.headSeq(), 4u);
-    EXPECT_EQ(co.pending(), 1u);
-
-    // Retune mid-run: the already-started coalescer honours the new
-    // limit on its very next add, no reset() required. Seven more adds
-    // accumulate a full 8-run (under the old limit of 4 they would
-    // have shipped twice already) ...
-    live_limit.store(8, std::memory_order_relaxed);
-    EXPECT_EQ(co.effectiveMax(), 8u);
-    for (int i = 0; i < 7; ++i)
-        ASSERT_TRUE(co.add(event));
-    EXPECT_EQ(ring.headSeq(), 4u); // nothing shipped yet
-    EXPECT_EQ(co.pending(), 8u);
-    // ... and the add that overflows it ships the whole 8-run.
-    ASSERT_TRUE(co.add(event));
-    EXPECT_EQ(ring.headSeq(), 12u);
-    EXPECT_EQ(co.pending(), 1u);
-
-    // Values beyond the storage ceiling clamp to kMaxPending.
-    live_limit.store(100000, std::memory_order_relaxed);
-    EXPECT_EQ(co.effectiveMax(), ring::PublishCoalescer::kMaxPending);
-    // And zero (unseeded garbage) clamps to 1, never 0.
-    live_limit.store(0, std::memory_order_relaxed);
-    EXPECT_EQ(co.effectiveMax(), 1u);
-}
-
 // ------------------------------------------------------- BPF rule heat
 
 TEST(RuleHeatTest, CountersAndHotHookFireOnce)
@@ -560,13 +525,13 @@ TEST(AdaptEngineTest, LiveTuningVisibleInStatusWithoutRestart)
     // Retune the running engine through the unified handle ...
     TuningHandle handle = nvx.tuning();
     ASSERT_TRUE(handle.valid());
-    handle.set(Knob::CoalesceRun, 32);
+    handle.set(Knob::CreditWindow, 8192);
 
     // The very next StatusReport shows the new values — no restart.
     core::StatusReport report = nvx.status();
-    EXPECT_EQ(report.adapt.coalesce_run, 32u);
+    EXPECT_EQ(report.adapt.credit_window, 8192u);
     const std::string text = nvx.statusText();
-    EXPECT_NE(text.find("varan_tuning_coalesce_run 32"),
+    EXPECT_NE(text.find("varan_tuning_credit_window 8192"),
               std::string::npos);
 
     ASSERT_EQ(::write(gate[1], "g", 1), 1);
@@ -579,11 +544,10 @@ TEST(AdaptEngineTest, LiveTuningVisibleInStatusWithoutRestart)
 
 TEST(AdaptEngineTest, TuningStructSeedsTheLiveKnobs)
 {
-    // The unified Tuning struct is the only knob surface (the legacy
-    // CoalesceConfig/RemoteConfig spellings are gone): values set
+    // The unified Tuning struct is the only knob surface: values set
     // there are what the engine actually runs with.
     core::EngineConfig config = fastConfig();
-    config.tuning.coalesce_run = 48;
+    config.tuning.coalesce_window_ns = 480000;
     config.tuning.credit_window = 1024;
     config.tuning.ship_batch = 8;
 
@@ -592,7 +556,7 @@ TEST(AdaptEngineTest, TuningStructSeedsTheLiveKnobs)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, 0);
     core::StatusReport report = nvx.status();
-    EXPECT_EQ(report.adapt.coalesce_run, 48u);
+    EXPECT_EQ(report.adapt.coalesce_window_ns, 480000u);
     EXPECT_EQ(report.adapt.credit_window, 1024u);
     EXPECT_EQ(report.adapt.ship_batch, 8u);
 }

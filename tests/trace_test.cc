@@ -321,7 +321,6 @@ const char *const kMetricNames[] = {
     "varan_stream_generation", "varan_promotions_total",
     "varan_events_streamed_total", "varan_divergences_resolved_total",
     "varan_divergences_fatal_total", "varan_fd_transfers_total",
-    "varan_publish_batches_total", "varan_events_coalesced_total",
     "varan_variant_state", "varan_variant_syscalls_total",
     "varan_variant_ring_lag", "varan_variant_restarts_total",
     "varan_pool_spills_total", "varan_pool_global_live_chunks",
@@ -341,10 +340,10 @@ const char *const kMetricNames[] = {
     "varan_adapt_active", "varan_adapt_samples_total",
     "varan_adapt_decisions_total", "varan_adapt_pinned_mask",
     "varan_tuning_ship_batch", "varan_tuning_credit_window",
-    "varan_tuning_coalesce_run", "varan_tuning_coalesce_window_ns",
+    "varan_tuning_coalesce_window_ns",
     "varan_trace_enabled", "varan_trace_records_total",
     "varan_divergence_records_total", "varan_publish_lag_ns",
-    "varan_coalesce_dwell_ns", "varan_credit_stall_ns",
+    "varan_credit_stall_ns",
     "varan_blackout_ns",
 };
 

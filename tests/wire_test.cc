@@ -1032,6 +1032,50 @@ TEST(WireWakeTest, CreditGatedBacklogDoesNotSpinThePump)
     ASSERT_TRUE(pair.receiver->finish().isOk());
 }
 
+// --- shutdown ------------------------------------------------------------
+
+/** A status push on every pump pass, so stats().status_pushes counts
+ *  the passes a shutdown makes; an idle pump sleeps until stopped. */
+Shipper::Options
+pushEveryPass()
+{
+    Shipper::Options options;
+    options.status_push_ns = 1;
+    options.tick_ms = 10000;
+    return options;
+}
+
+TEST(WireShutdownTest, FinishAfterStartRunsOneFinalSweep)
+{
+    // With nothing left to ship, the final sweep is one pass. A second
+    // sweep (the pump thread's exit, then finish() after the join)
+    // would hold shutdown for two drain deadlines on a stuck peer.
+    WakePair pair(pushEveryPass());
+    pair.receiver->start();
+    pair.shipper->start();
+    ASSERT_TRUE(pair.awaitPumpAsleep());
+    const std::uint64_t before = pair.shipper->stats().status_pushes;
+    ASSERT_TRUE(pair.shipper->finish().isOk());
+    EXPECT_EQ(pair.shipper->stats().status_pushes - before, 1u);
+    ASSERT_TRUE(pair.receiver->finish().isOk());
+}
+
+TEST(WireShutdownTest, DestructorSweepsWhatFinishWouldHave)
+{
+    // A hand-driven shipper dropped without finish() still ships what
+    // the leader published before it went away.
+    WakePair pair(Shipper::Options{});
+    pair.receiver->start();
+    for (std::uint64_t ts = 1; ts <= 3; ++ts)
+        pair.leader.publish(0, syscallEvent(ts, 39, 0));
+    pair.shipper.reset();
+    std::vector<ring::Event> got;
+    ASSERT_NE(pair.awaitRemote(got, 3), 0u);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].timestamp, i + 1);
+    ASSERT_TRUE(pair.receiver->finish().isOk());
+}
+
 // --- cross-node promotion ----------------------------------------------
 
 TEST(WirePromotionTest, ReceiverPromotesAfterLinkLoss)
